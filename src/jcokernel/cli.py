@@ -17,7 +17,7 @@ from .brauer import ram_character
 from .combinatorics import sp_decomposition, witt_rank
 from .detector import detect
 from .partitions import CycleType, Partition, partitions_of
-from .tensorspace import TermLimitError, set_term_limit
+from .tensorspace import TermLimitError, get_term_limit, set_term_limit
 
 FORMATS = ("text", "json", "csv")
 
@@ -182,8 +182,6 @@ def main(argv=None, out=None) -> int:
         level=getattr(args, "level", "fast"),
         force=getattr(args, "force", False),
     )
-    if cfg.watermark is not None:
-        set_term_limit(cfg.watermark)
     handlers = {
         "witt": cmd_witt,
         "decompose": cmd_decompose,
@@ -191,7 +189,12 @@ def main(argv=None, out=None) -> int:
         "brauer-char": cmd_brauer_char,
         "selftest": cmd_selftest,
     }
+    # --watermark applies to this call only; later calls in the same
+    # interpreter see the limit that was in force before it.
+    previous_limit = get_term_limit()
     try:
+        if cfg.watermark is not None:
+            set_term_limit(cfg.watermark)
         return handlers[cfg.command](cfg, out)
     except TermLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -199,6 +202,8 @@ def main(argv=None, out=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        set_term_limit(previous_limit)
 
 
 if __name__ == "__main__":

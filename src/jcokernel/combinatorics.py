@@ -5,7 +5,10 @@ All functions are pure and return exact integers.  The cyclic-restriction
 multiplicities follow the Kraskiewicz-Weyman description: the multiplicity of
 the j-th character of the cyclic group C_k in the restriction of the Specht
 module S^lambda equals the number of standard tableaux of shape lambda whose
-major index is congruent to j mod k.
+major index is congruent to j mod k.  Those counts come from the q-hook
+formula for the major-index generating function (Stanley, EC2 Cor. 7.21.5)
+reduced mod q^k - 1, so no tableau is built; enumerating standard tableaux
+is kept as the test oracle.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from .partitions import (
     Partition,
     SkewLRTableau,
     partitions_of,
-    standard_tableaux,
     syt_count,
 )
 
@@ -51,11 +53,27 @@ def witt_rank(n: int, k: int) -> int:
 
 @cache
 def _maj_residues(shape: Partition) -> tuple[int, ...]:
-    """Histogram of major indices mod |shape| over all standard tableaux."""
-    k = shape.size
-    counts = [0] * k
-    for tableau in standard_tableaux(shape):
-        counts[tableau.major_index % k] += 1
+    """Histogram of major indices mod |shape| over all standard tableaux.
+
+    By the q-hook formula (Stanley, EC2 Cor. 7.21.5),
+    sum_T q^maj(T) = q^b [n]_q! / prod_u [h(u)]_q with b = sum_i (i-1) lam_i.
+    Cancelling the n factors (1 - q) leaves prod_i (1 - q^i) / prod_u (1 - q^h(u)),
+    which is computed with exact integer coefficients and folded mod q^n - 1.
+    """
+    n = shape.size
+    coeffs = [1] + [0] * (n * (n + 1) // 2)
+    for i in range(1, n + 1):
+        for j in range(len(coeffs) - 1, i - 1, -1):
+            coeffs[j] -= coeffs[j - i]
+    for row in shape.hook_lengths():
+        for hook in row:
+            for j in range(hook, len(coeffs)):
+                coeffs[j] += coeffs[j - hook]
+    shift = sum(i * part for i, part in enumerate(shape))
+    counts = [0] * n
+    for j, c in enumerate(coeffs):
+        counts[(j + shift) % n] += c
+    assert sum(counts) == syt_count(shape), f"inexact q-hook division for {shape}"
     return tuple(counts)
 
 

@@ -63,9 +63,13 @@ class Partition(tuple):
             for c in range(part):
                 yield r, c
 
-    def hook_length(self, r: int, c: int) -> int:
+    def hook_lengths(self) -> tuple[tuple[int, ...], ...]:
+        """Hook length of every cell, one tuple per row, in `cells()` order."""
         conj = self.conjugate()
-        return (self[r] - c) + (conj[c] - r) - 1
+        return tuple(
+            tuple(part - c + conj[c] - r - 1 for c in range(part))
+            for r, part in enumerate(self)
+        )
 
     def remove_node(self) -> Iterator["Partition"]:
         """Partitions obtained by removing one removable corner cell."""
@@ -258,8 +262,9 @@ def syt_count(shape) -> int:
     shape = Partition(shape)
     n = shape.size
     result = factorial(n)
-    for r, c in shape.cells():
-        result //= shape.hook_length(r, c)
+    for row in shape.hook_lengths():
+        for hook in row:
+            result //= hook
     return result
 
 
@@ -269,8 +274,9 @@ def gl_dimension(shape, n: int) -> int:
     if shape.length > n:
         return 0
     result = Fraction(1)
-    for r, c in shape.cells():
-        result *= Fraction(n + c - r, shape.hook_length(r, c))
+    for r, row in enumerate(shape.hook_lengths()):
+        for c, hook in enumerate(row):
+            result *= Fraction(n + c - r, hook)
     assert result.denominator == 1
     return result.numerator
 

@@ -121,3 +121,25 @@ def test_watermark_flag_aborts_cleanly():
     set_term_limit(5_000_000)
     code, _ = run_cli("detect", "--family", "[k]", "--k", "3", "--g", "5")
     assert code == 0
+
+
+def test_watermark_flag_does_not_leak_into_later_calls():
+    from jcokernel.tensorspace import get_term_limit
+
+    before = get_term_limit()
+    code, _ = run_cli("--watermark", "10", "detect", "--family", "[k]", "--k", "3", "--g", "5")
+    assert code == 3
+    assert get_term_limit() == before
+    # The same detect trips a watermark of 10, so success means the limit is back.
+    code, _ = run_cli("detect", "--family", "[k]", "--k", "3", "--g", "5")
+    assert code == 0
+    assert get_term_limit() == before
+
+
+def test_nonpositive_watermark_is_a_usage_error():
+    from jcokernel.tensorspace import get_term_limit
+
+    before = get_term_limit()
+    code, _ = run_cli("--watermark", "0", "witt", "--n", "2", "--k-max", "2")
+    assert code == 2
+    assert get_term_limit() == before

@@ -1,9 +1,11 @@
 import itertools
+from collections import Counter
 from math import factorial, gcd
 
 import pytest
 
 from jcokernel.combinatorics import (
+    _maj_residues,
     brauer_dim,
     branching_coefficient,
     gl_to_sp_branching,
@@ -24,6 +26,7 @@ from jcokernel.partitions import (
     gl_dimension,
     partitions_of,
     sp_dimension,
+    standard_tableaux,
     syt_count,
 )
 
@@ -109,6 +112,14 @@ def test_kw_examples():
     assert kw_multiplicity((1,) * 5, 0) == 1
     assert kw_multiplicity((2, 1, 1), 0) == 1
     assert kw_multiplicity((2, 2, 1), 1) == 1
+
+
+def test_maj_residues_match_tableau_enumeration():
+    # The q-hook residues against a histogram of enumerated major indices.
+    for n in range(1, 11):
+        for lam in partitions_of(n):
+            histogram = Counter(t.major_index % n for t in standard_tableaux(lam))
+            assert _maj_residues(lam) == tuple(histogram[j] for j in range(n))
 
 
 def test_kw_residues_sum_to_tableau_count():
@@ -392,6 +403,17 @@ def test_cyclic_quotient_dimension_matches_necklace_count():
             assert total == necklace_count(n, k)
 
 
+def test_cyclic_quotient_dimension_past_the_tableau_cap():
+    # Shapes of size 15 and 16 are beyond what tableau enumeration allows.
+    for k in (15, 16):
+        n = 2 * (k + 2)
+        total = sum(
+            kw_multiplicity(lam, 0) * gl_dimension(lam, n)
+            for lam in partitions_of(k, max_length=n)
+        )
+        assert total == necklace_count(n, k)
+
+
 def test_kernel_module_dimension_bookkeeping():
     # dim h(k) = 2g witt(2g, k+1) - witt(2g, k+2): the bracket map from
     # H (x) FreeLie(k+1) onto FreeLie(k+2) is surjective.  Both the GL and
@@ -410,3 +432,17 @@ def test_kernel_module_dimension_bookkeeping():
         )
         assert gl_total == expected
         assert sp_total == expected
+
+
+def test_kernel_module_dimension_past_the_tableau_cap():
+    # k + 2 = 15 and 16: the GL table of h(k) needs residues of shapes of
+    # size k + 2, beyond what tableau enumeration allows.
+    for k in (13, 14):
+        g = k + 2
+        n = 2 * g
+        expected = n * witt_rank(n, k + 1) - witt_rank(n, k + 2)
+        gl_total = sum(
+            mult_gl_in_h(lam, g) * gl_dimension(lam, n)
+            for lam in partitions_of(k + 2, max_length=n)
+        )
+        assert gl_total == expected

@@ -39,6 +39,24 @@ def test_containment_and_nodes():
     assert set(lam.remove_node()) == {Partition((2, 2)), Partition((3, 1))}
 
 
+def test_hook_lengths_count_arm_and_leg():
+    assert Partition((3, 1)).hook_lengths() == ((4, 2, 1), (1,))
+    assert Partition(()).hook_lengths() == ()
+    for n in range(1, 9):
+        for lam in partitions_of(n):
+            cells = set(lam.cells())
+            expected = tuple(
+                tuple(
+                    1
+                    + sum((r, c2) in cells for c2 in range(c + 1, n))
+                    + sum((r2, c) in cells for r2 in range(r + 1, n))
+                    for c in range(part)
+                )
+                for r, part in enumerate(lam)
+            )
+            assert lam.hook_lengths() == expected
+
+
 def test_partition_count_matches_classical_values():
     # p(n) for n = 0..10
     expected = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
