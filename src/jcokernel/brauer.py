@@ -14,13 +14,17 @@ import random
 from fractions import Fraction
 from functools import cache
 
-from .combinatorics import lr_coefficient, sk_character
+from .combinatorics import _doubled_partitions, lr_coefficient, sk_character
 from .partitions import CycleType, Partition, partitions_of
 from .tensorspace import (
     Coeff,
     PermAlgebraElement,
     SparseTensor,
     SymplecticSpace,
+    _Combination,
+    _accumulate,
+    _dual_letters,
+    _exact,
     act_perm,
     sp_maximal_vector,
 )
@@ -169,23 +173,23 @@ def compose_diagrams(d1: BrauerDiagram, d2: BrauerDiagram) -> tuple[BrauerDiagra
     return result, loops
 
 
-class BrauerElement:
+class BrauerElement(_Combination):
     """Finitely supported rational combination of diagrams of one size,
     with loop parameter delta = -2g."""
 
-    __slots__ = ("k", "delta", "_terms")
+    __slots__ = ()
+    k = property(lambda self: self._shape[0])
+    delta = property(lambda self: self._shape[1])
 
     def __init__(self, k: int, delta: Coeff, terms=None):
-        self.k = k
-        self.delta = delta
-        clean: dict[BrauerDiagram, Coeff] = {}
-        for diagram, coeff in (terms or {}).items():
-            if not coeff:
-                continue
+        self._shape = (k, _exact(delta, "delta"))
+
+        def check(diagram: BrauerDiagram) -> BrauerDiagram:
             if diagram.k != k:
                 raise ValueError("diagram size mismatch")
-            clean[diagram] = clean.get(diagram, 0) + coeff
-        self._terms = {d: c for d, c in clean.items() if c}
+            return diagram
+
+        self._set_terms(terms, check)
 
     @classmethod
     def from_diagram(cls, diagram: BrauerDiagram, delta: Coeff) -> "BrauerElement":
@@ -195,64 +199,33 @@ class BrauerElement:
     def identity(cls, k: int, delta: Coeff) -> "BrauerElement":
         return cls.from_diagram(BrauerDiagram.identity(k), delta)
 
-    def terms(self):
-        return sorted(self._terms.items())
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def _like(self, other: "BrauerElement"):
-        if self.k != other.k or self.delta != other.delta:
+        if self._shape != other._shape:
             raise ValueError("size or parameter mismatch")
 
     def __add__(self, other: "BrauerElement") -> "BrauerElement":
         self._like(other)
-        out = dict(self._terms)
-        for d, c in other._terms.items():
-            new = out.get(d, 0) + c
-            if new:
-                out[d] = new
-            else:
-                out.pop(d, None)
-        return BrauerElement(self.k, self.delta, out)
+        return self._sum(other, "BrauerElement.add")
 
     def __sub__(self, other: "BrauerElement") -> "BrauerElement":
         return self + other * -1
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return BrauerElement(
-                self.k, self.delta, {d: c * other for d, c in self._terms.items()}
-            )
+        if not isinstance(other, BrauerElement):
+            return self._scale(other)
         self._like(other)
-        out: dict[BrauerDiagram, Coeff] = {}
-        for d1, c1 in self._terms.items():
-            for d2, c2 in other._terms.items():
-                product, loops = compose_diagrams(d1, d2)
-                coeff = c1 * c2 * self.delta**loops
-                new = out.get(product, 0) + coeff
-                if new:
-                    out[product] = new
-                else:
-                    out.pop(product, None)
-        return BrauerElement(self.k, self.delta, out)
 
-    __rmul__ = __mul__
+        def products():
+            for d1, c1 in self._terms.items():
+                for d2, c2 in other._terms.items():
+                    product, loops = compose_diagrams(d1, d2)
+                    yield product, c1 * c2 * self.delta**loops
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, BrauerElement)
-            and self.k == other.k
-            and self.delta == other.delta
-            and self._terms == other._terms
-        )
+        out = _accumulate({}, products(), "BrauerElement.mul")
+        return BrauerElement._raw(self._shape, out)
 
     def __repr__(self):
         return f"BrauerElement(k={self.k}, delta={self.delta}, {len(self._terms)} diagrams)"
-
-
-def multiply(a: BrauerElement, b: BrauerElement) -> BrauerElement:
-    return a * b
 
 
 # Twisted right action on H^(x)k.  Generators: s_j acts as minus the adjacent
@@ -261,29 +234,30 @@ def multiply(a: BrauerElement, b: BrauerElement) -> BrauerElement:
 
 
 def _act_s(tensor: SparseTensor, j: int) -> SparseTensor:
-    sigma = list(range(tensor.degree))
-    sigma[j - 1], sigma[j] = sigma[j], sigma[j - 1]
-    return -1 * tensor.apply_permutation(tuple(sigma))
+    return act_perm(tensor, _minus_swap(tensor.degree, j))
+
+
+# Cached: _act_s runs once per generator of a diagram word, mostly on small
+# tensors, where building the element would cost as much as acting with it.
+@cache
+def _minus_swap(k: int, j: int) -> PermAlgebraElement:
+    return PermAlgebraElement.transposition(k, j) * -1
 
 
 def _act_gamma(tensor: SparseTensor, j: int) -> SparseTensor:
     space = SymplecticSpace(tensor.n // 2)
-    pairs = [space.dual_basis_vector(r) for r in range(1, space.n + 1)]
-    out: dict[bytes, Coeff] = {}
-    for word, coeff in tensor._terms.items():
-        value = space.pairing(word[j - 1], word[j])
-        if not value:
-            continue
-        prefix, suffix = word[: j - 1], word[j + 1 :]
-        for r in range(1, space.n + 1):
-            rdual, sign = pairs[r - 1]
-            key = prefix + bytes((r, rdual)) + suffix
-            new = out.get(key, 0) - coeff * value * sign
-            if new:
-                out[key] = new
-            else:
-                out.pop(key, None)
-    return SparseTensor._raw(tensor.degree, tensor.n, out)
+    letters = _dual_letters(tensor.n)
+
+    def images():
+        for word, coeff in tensor._terms.items():
+            value = space.pairing(word[j - 1], word[j])
+            if not value:
+                continue
+            prefix, suffix = word[: j - 1], word[j + 1 :]
+            for r, rdual, sign in letters:
+                yield prefix + r + rdual + suffix, -coeff * value * sign
+
+    return SparseTensor._raw(tensor._shape, _accumulate({}, images(), "act_gamma"))
 
 
 def act_twisted_generator(tensor: SparseTensor, kind: str, i: int) -> SparseTensor:
@@ -349,11 +323,6 @@ def act_twisted(tensor: SparseTensor, element: BrauerElement) -> SparseTensor:
     return total
 
 
-def defining_relations(k: int, delta: Coeff):
-    """All defining relations of B_k(delta) as (name, lhs, rhs) triples."""
-    return _relation_pairs(k, delta)
-
-
 def _relation_pairs(k: int, delta: Coeff):
     def s(i):
         return BrauerElement.from_diagram(BrauerDiagram.s(k, i), delta)
@@ -409,7 +378,7 @@ def check_relations(k: int, g: int, rng=None, panel: int = 3) -> bool:
         if lhs != rhs:
             return False
     rng = rng or random.Random(20121123)
-    tensors = [_random_tensor(rng, k, 2 * g, 5) for _ in range(panel)]
+    tensors = [_random_tensor(rng, k, 2 * g) for _ in range(panel)]
     for _, lhs, rhs in pairs:
         for t in tensors:
             if act_twisted(t, lhs) != act_twisted(t, rhs):
@@ -417,7 +386,7 @@ def check_relations(k: int, g: int, rng=None, panel: int = 3) -> bool:
     return True
 
 
-def _random_tensor(rng, degree: int, n: int, nterms: int) -> SparseTensor:
+def _random_tensor(rng, degree: int, n: int, nterms: int = 5) -> SparseTensor:
     terms = {}
     for _ in range(nterms):
         word = bytes(rng.randint(1, n) for _ in range(degree))
@@ -425,12 +394,22 @@ def _random_tensor(rng, degree: int, n: int, nterms: int) -> SparseTensor:
     return SparseTensor(degree, n, terms)
 
 
-def _even_partitions(total: int):
-    """Partitions with all parts even."""
-    if total % 2:
-        return
-    for kappa in partitions_of(total // 2):
-        yield Partition(2 * p for p in kappa)
+def _cell_weights(lam: Partition, k: int) -> dict[Partition, int]:
+    """{nu: weight} over nu of k containing lam', where the nonzero weight is
+    the sum over even-row beta of LR^nu_{lam', beta}."""
+    j2 = k - lam.size
+    if j2 < 0 or j2 % 2:
+        raise ValueError("|lam| must equal k - 2j")
+    lam_conj = lam.conjugate()
+    # Even-row partitions are the conjugates of the doubled ones.
+    betas = [eta.conjugate() for eta in _doubled_partitions(j2)]
+    out: dict[Partition, int] = {}
+    for nu in partitions_of(k):
+        if nu.contains(lam_conj):
+            weight = sum(lr_coefficient(nu, lam_conj, beta) for beta in betas)
+            if weight:
+                out[nu] = weight
+    return out
 
 
 def ram_character(lam, cls, g: int) -> int:
@@ -443,19 +422,8 @@ def ram_character(lam, cls, g: int) -> int:
     lam, cls = Partition(lam), CycleType(cls)
     if lam.length > g:
         raise ValueError(f"length of lambda exceeds g={g}")
-    k = cls.size
-    j2 = k - lam.size
-    if j2 < 0 or j2 % 2:
-        raise ValueError("|lam| must equal k - 2j")
-    lam_conj = lam.conjugate()
-    total = 0
-    for nu in partitions_of(k):
-        if not nu.contains(lam_conj):
-            continue
-        weight = sum(lr_coefficient(nu, lam_conj, beta) for beta in _even_partitions(j2))
-        if weight:
-            total += weight * sk_character(nu, cls)
-    return total
+    weights = _cell_weights(lam, cls.size)
+    return sum(weight * sk_character(nu, cls) for nu, weight in weights.items())
 
 
 def restriction_multiset(lam, k: int) -> dict[Partition, int]:
@@ -464,19 +432,8 @@ def restriction_multiset(lam, k: int) -> dict[Partition, int]:
     Returns {nu': multiplicity}; the conjugation records the sign twist
     between the Brauer embedding of S_k and the place-permutation action.
     """
-    lam = Partition(lam)
-    j2 = k - lam.size
-    if j2 < 0 or j2 % 2:
-        raise ValueError("|lam| must equal k - 2j")
-    lam_conj = lam.conjugate()
-    out: dict[Partition, int] = {}
-    for nu in partitions_of(k):
-        if not nu.contains(lam_conj):
-            continue
-        weight = sum(lr_coefficient(nu, lam_conj, beta) for beta in _even_partitions(j2))
-        if weight:
-            out[nu.conjugate()] = weight
-    return dict(sorted(out.items(), reverse=True))
+    weights = _cell_weights(Partition(lam), k)
+    return dict(sorted(((nu.conjugate(), w) for nu, w in weights.items()), reverse=True))
 
 
 def _rank(vectors: list[SparseTensor]) -> int:
@@ -494,13 +451,7 @@ def _rank(vectors: list[SparseTensor]) -> int:
                 pivots[key] = {w: c * inv for w, c in row.items()}
                 break
             factor = row[key]
-            pivot = pivots[key]
-            for w, c in pivot.items():
-                new = row.get(w, Fraction(0)) - factor * c
-                if new:
-                    row[w] = new
-                else:
-                    row.pop(w, None)
+            _accumulate(row, ((w, -factor * c) for w, c in pivots[key].items()), "rank")
     return len(pivots)
 
 
@@ -513,7 +464,7 @@ def span_equality_check(lam, j: int, k: int, g: int) -> bool:
     vector = sp_maximal_vector(lam, j, g)
     diagram_orbit = [act_twisted_diagram(vector, d) for d in all_diagrams(k)]
     perm_orbit = [
-        act_perm(vector, PermAlgebraElement._raw(k, {tuple(sigma): 1}))
+        act_perm(vector, PermAlgebraElement._raw((k,), {tuple(sigma): 1}))
         for sigma in itertools.permutations(range(k))
     ]
     rank_perm = _rank(perm_orbit)

@@ -102,10 +102,27 @@ def lr_coefficient(outer, inner, weight) -> int:
 
 @cache
 def _lr(outer: Partition, inner: Partition, weight: Partition) -> int:
-    if not outer.contains(inner) or outer.size != inner.size + weight.size:
+    # Most calls from branching have weight outside outer: no filling, no search.
+    if not outer.contains(weight):
         return 0
-    if not weight:
-        return 1
+    return sum(1 for _ in _lr_fillings(outer, inner, weight))
+
+
+def skew_lr_tableaux(outer, inner, weight):
+    """The fillings counted by lr_coefficient, as SkewLRTableau witnesses."""
+    outer, inner, weight = Partition(outer), Partition(inner), Partition(weight)
+    for grid in _lr_fillings(outer, inner, weight):
+        yield SkewLRTableau(outer, inner, dict(grid))
+
+
+def _lr_fillings(outer: Partition, inner: Partition, weight: Partition):
+    """Backtracking over LR fillings of outer \\ inner with content weight.
+
+    Yields one shared cell -> value dict per complete filling; it changes as
+    the search goes on, so a caller that keeps a filling copies it.
+    """
+    if not outer.contains(inner) or outer.size != inner.size + weight.size:
+        return
     nvals = weight.length
     inner_padded = tuple(inner) + (0,) * (outer.length - inner.length)
     # Cells in reverse reading order: row by row, right to left.
@@ -116,12 +133,10 @@ def _lr(outer: Partition, inner: Partition, weight: Partition) -> int:
     ]
     counts = [0] * (nvals + 1)
     grid: dict[tuple[int, int], int] = {}
-    total = 0
 
-    def fill(idx: int) -> None:
-        nonlocal total
+    def fill(idx: int):
         if idx == len(cells):
-            total += 1
+            yield grid
             return
         r, c = cells[idx]
         above = grid.get((r - 1, c))
@@ -131,50 +146,6 @@ def _lr(outer: Partition, inner: Partition, weight: Partition) -> int:
                 continue
             if v > 1 and counts[v] >= counts[v - 1]:
                 continue  # lattice word prefix condition
-            if above is not None and v <= above:
-                continue
-            if right is not None and v > right:
-                continue
-            counts[v] += 1
-            grid[(r, c)] = v
-            fill(idx + 1)
-            counts[v] -= 1
-            del grid[(r, c)]
-
-    fill(0)
-    return total
-
-
-def skew_lr_tableaux(outer, inner, weight):
-    """The fillings counted by lr_coefficient, as SkewLRTableau witnesses."""
-    outer, inner, weight = Partition(outer), Partition(inner), Partition(weight)
-    if not outer.contains(inner) or outer.size != inner.size + weight.size:
-        return
-    if not weight:
-        yield SkewLRTableau(outer, inner, {})
-        return
-    nvals = weight.length
-    inner_padded = tuple(inner) + (0,) * (outer.length - inner.length)
-    cells = [
-        (r, c)
-        for r in range(outer.length)
-        for c in range(outer[r] - 1, inner_padded[r] - 1, -1)
-    ]
-    counts = [0] * (nvals + 1)
-    grid: dict[tuple[int, int], int] = {}
-
-    def fill(idx: int):
-        if idx == len(cells):
-            yield SkewLRTableau(outer, inner, dict(grid))
-            return
-        r, c = cells[idx]
-        above = grid.get((r - 1, c))
-        right = grid.get((r, c + 1))
-        for v in range(1, nvals + 1):
-            if counts[v] >= weight[v - 1]:
-                continue
-            if v > 1 and counts[v] >= counts[v - 1]:
-                continue
             if above is not None and v <= above:
                 continue
             if right is not None and v > right:

@@ -33,7 +33,7 @@ def rotation_cycle(m: int, i: int) -> PermAlgebraElement:
     sigma[0] = i - 1
     for p in range(1, i):
         sigma[p] = p - 1
-    return PermAlgebraElement._raw(m, {tuple(sigma): 1})
+    return PermAlgebraElement._raw((m,), {tuple(sigma): 1})
 
 
 def full_cycle(m: int) -> PermAlgebraElement:
@@ -49,7 +49,7 @@ def _stabilizer_rotation(m: int, i: int) -> PermAlgebraElement:
     sigma[1] = i
     for p in range(2, i + 1):
         sigma[p] = p - 1
-    return PermAlgebraElement._raw(m, {tuple(sigma): 1})
+    return PermAlgebraElement._raw((m,), {tuple(sigma): 1})
 
 
 def theta(m: int) -> PermAlgebraElement:

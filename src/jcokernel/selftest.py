@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 from math import comb
 
-from .brauer import check_relations, ram_character
+from .brauer import _random_tensor, check_relations, ram_character
 from .combinatorics import (
     brauer_dim,
     mult_sp_in_module,
@@ -24,7 +24,6 @@ from .partitions import CycleType, Partition, partitions_of
 from .spweights import form_compatible, sp_raising_operators
 from .tensorspace import (
     PermAlgebraElement,
-    SparseTensor,
     SymplecticSpace,
     act_perm,
     cyclic_project,
@@ -33,14 +32,6 @@ from .tensorspace import (
 )
 
 Check = tuple[str, bool]
-
-
-def _random_tensor(rng: random.Random, degree: int, n: int, nterms: int = 5) -> SparseTensor:
-    terms: dict[bytes, int] = {}
-    for _ in range(nterms):
-        word = bytes(rng.randint(1, n) for _ in range(degree))
-        terms[word] = terms.get(word, 0) + rng.randint(-4, 4)
-    return SparseTensor(degree, n, terms)
 
 
 def _fast_checks(rng: random.Random) -> list[Check]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .tensorspace import Coeff, SparseTensor, SymplecticSpace
+from .tensorspace import Coeff, SparseTensor, SymplecticSpace, _accumulate
 
 Weight = tuple[int, ...]
 
@@ -35,24 +35,17 @@ class LieOperator:
         """Leibniz extension: sum over positions of the one-letter action."""
         if tensor.n != self.n:
             raise ValueError("alphabet mismatch")
-        out: dict[bytes, Coeff] = {}
-        for word, coeff in tensor._terms.items():
-            for p, letter in enumerate(word):
-                for target, scale in self.columns.get(letter, ()):
-                    key = word[:p] + bytes((target,)) + word[p + 1 :]
-                    new = out.get(key, 0) + coeff * scale
-                    if new:
-                        out[key] = new
-                    else:
-                        out.pop(key, None)
-        return SparseTensor._raw(tensor.degree, tensor.n, out)
-
-    def matrix_entry(self, i: int, j: int) -> Coeff:
-        """Coefficient of e_i in the image of e_j."""
-        for b, c in self.columns.get(j, ()):
-            if b == i:
-                return c
-        return 0
+        columns = {
+            a: [(bytes((b,)), c) for b, c in image] for a, image in self.columns.items()
+        }
+        images = (
+            (word[:p] + target + word[p + 1 :], coeff * scale)
+            for word, coeff in tensor._terms.items()
+            for p, letter in enumerate(word)
+            if letter in columns
+            for target, scale in columns[letter]
+        )
+        return SparseTensor._raw(tensor._shape, _accumulate({}, images, "apply"))
 
     def __repr__(self):
         return f"LieOperator({self.name or self.columns})"

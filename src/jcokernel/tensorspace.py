@@ -1,8 +1,12 @@
 """Exact sparse tensor algebra over H = Q^(2g) with the symplectic pairing.
 
 Words over the basis alphabet {1..n} are stored as fixed-width byte strings;
-coefficients are exact (int or Fraction).  No stored coefficient is ever zero.
-All values are immutable: every operation returns a fresh object.
+coefficients are exact (int or Fraction), and an inexact coefficient or
+scalar raises TypeError.  No stored coefficient is ever zero.  Tensors,
+permutation-algebra elements and cyclic classes (and Brauer elements in
+`brauer`) share one linear-combination core, `_Combination`, and sum terms
+through `_accumulate`.  All values are immutable: every operation returns a
+fresh object.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ import itertools
 import json
 import os
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
 from .partitions import Partition
@@ -124,45 +129,68 @@ class SymplecticSpace:
         return f"SymplecticSpace(g={self.g})"
 
 
-class SparseTensor:
-    """Finitely supported map from length-m words over {1..n} to rationals."""
+def _exact(value: Coeff, what: str) -> Coeff:
+    """The value itself if it is an int or Fraction; TypeError otherwise."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"{what} {value!r} is not an exact int or Fraction")
+    return value
 
-    __slots__ = ("degree", "n", "_terms")
 
-    def __init__(self, degree: int, n: int, terms=None):
-        if degree < 0:
-            raise ValueError("degree must be nonnegative")
-        if not 1 <= n <= 255:
-            raise ValueError("alphabet size out of range")
-        self.degree = degree
-        self.n = n
-        clean: dict[bytes, Coeff] = {}
-        for word, coeff in (terms or {}).items():
-            if not coeff:
-                continue
-            word = bytes(word)
-            if len(word) != degree or any(not 1 <= b <= n for b in word):
-                raise ValueError(f"bad word {word!r} for degree {degree}, n {n}")
-            clean[word] = clean.get(word, 0) + coeff
-        self._terms = {w: c for w, c in clean.items() if c}
+def _accumulate(out: dict, pairs, operation: str) -> dict:
+    """Sum (key, coeff) pairs into out, dropping keys whose sum is zero.
+
+    The one place that reports live terms to the watermark, once per call.
+    """
+    get = out.get
+    for key, coeff in pairs:
+        new = get(key, 0) + coeff
+        if new:
+            out[key] = new
+        else:
+            out.pop(key, None)
+    _note_terms(len(out), operation)
+    return out
+
+
+class _Combination:
+    """Finitely supported exact linear combination of hashable keys.
+
+    `_shape` holds the data that fix the space (degree, alphabet, loop
+    parameter), which subclasses expose as named properties; `_terms` maps
+    keys to nonzero int or Fraction coefficients.
+    """
+
+    __slots__ = ("_shape", "_terms")
+
+    def _set_terms(self, terms, check_key) -> None:
+        checked = (
+            (check_key(key), _exact(coeff, "coefficient"))
+            for key, coeff in (terms or {}).items()
+        )
+        self._terms = _accumulate({}, checked, type(self).__name__)
 
     @classmethod
-    def _raw(cls, degree: int, n: int, terms: dict[bytes, Coeff]) -> "SparseTensor":
+    def _raw(cls, shape: tuple, terms: dict):
         # Internal fast path; terms must already be normalized.
         self = object.__new__(cls)
-        self.degree = degree
-        self.n = n
+        self._shape = shape
         self._terms = terms
         return self
 
-    @classmethod
-    def zero(cls, degree: int, n: int) -> "SparseTensor":
-        return cls._raw(degree, n, {})
+    def _sum(self, other, operation: str):
+        out = _accumulate(dict(self._terms), other._terms.items(), operation)
+        return self._raw(self._shape, out)
 
-    @classmethod
-    def basis_word(cls, n: int, letters) -> "SparseTensor":
-        word = bytes(letters)
-        return cls(len(word), n, {word: 1})
+    def _scale(self, scalar: Coeff):
+        _exact(scalar, "scalar")
+        terms = {key: c * scalar for key, c in self._terms.items()} if scalar else {}
+        return self._raw(self._shape, terms)
+
+    __mul__ = __rmul__ = _scale
+
+    def terms(self):
+        """Terms sorted by key."""
+        return sorted(self._terms.items())
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -170,54 +198,65 @@ class SparseTensor:
     def support_size(self) -> int:
         return len(self._terms)
 
-    def terms(self):
-        """Terms sorted lexicographically by word."""
-        return sorted(self._terms.items())
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self._shape == other._shape
+            and self._terms == other._terms
+        )
+
+    def __hash__(self):
+        return hash((*self._shape, frozenset(self._terms.items())))
+
+
+def _check_alphabet(degree: int, n: int) -> None:
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
+    if not 1 <= n <= 255:
+        raise ValueError("alphabet size out of range")
+
+
+def _checked_word(word, degree: int, n: int) -> bytes:
+    word = bytes(word)
+    if len(word) != degree or any(not 1 <= b <= n for b in word):
+        raise ValueError(f"bad word {word!r} for degree {degree}, n {n}")
+    return word
+
+
+class SparseTensor(_Combination):
+    """Finitely supported map from length-m words over {1..n} to rationals."""
+
+    __slots__ = ()
+    degree = property(lambda self: self._shape[0])
+    n = property(lambda self: self._shape[1])
+
+    def __init__(self, degree: int, n: int, terms=None):
+        _check_alphabet(degree, n)
+        self._shape = (degree, n)
+        self._set_terms(terms, lambda word: _checked_word(word, degree, n))
+
+    @classmethod
+    def zero(cls, degree: int, n: int) -> "SparseTensor":
+        return cls._raw((degree, n), {})
+
+    @classmethod
+    def basis_word(cls, n: int, letters) -> "SparseTensor":
+        word = bytes(letters)
+        return cls(len(word), n, {word: 1})
 
     def coefficient(self, letters) -> Coeff:
         return self._terms.get(bytes(letters), 0)
 
-    def _like(self, other: "SparseTensor", op: str) -> None:
-        if self.degree != other.degree or self.n != other.n:
-            raise ValueError(f"{op}: mismatched degree or alphabet")
-
     def __add__(self, other: "SparseTensor") -> "SparseTensor":
-        self._like(other, "add")
-        out = dict(self._terms)
-        for word, coeff in other._terms.items():
-            new = out.get(word, 0) + coeff
-            if new:
-                out[word] = new
-            else:
-                out.pop(word, None)
-        _note_terms(len(out), "add")
-        return SparseTensor._raw(self.degree, self.n, out)
+        if self._shape != other._shape:
+            raise ValueError("add: mismatched degree or alphabet")
+        return self._sum(other, "add")
 
     def __sub__(self, other: "SparseTensor") -> "SparseTensor":
         return self + (-1) * other
 
     def __neg__(self) -> "SparseTensor":
         return (-1) * self
-
-    def __mul__(self, scalar: Coeff) -> "SparseTensor":
-        if not scalar:
-            return SparseTensor.zero(self.degree, self.n)
-        return SparseTensor._raw(
-            self.degree, self.n, {w: c * scalar for w, c in self._terms.items()}
-        )
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SparseTensor)
-            and self.degree == other.degree
-            and self.n == other.n
-            and self._terms == other._terms
-        )
-
-    def __hash__(self):
-        return hash((self.degree, self.n, frozenset(self._terms.items())))
 
     def tensor(self, other: "SparseTensor") -> "SparseTensor":
         """Tensor product; degrees add."""
@@ -228,30 +267,7 @@ class SparseTensor:
             for w2, c2 in other._terms.items():
                 out[w1 + w2] = c1 * c2
         _note_terms(len(out), "tensor")
-        return SparseTensor._raw(self.degree + other.degree, self.n, out)
-
-    def apply_permutation(self, sigma: tuple[int, ...]) -> "SparseTensor":
-        """Place permutation: position p of the result holds letter sigma(p)."""
-        if len(sigma) != self.degree:
-            raise ValueError("permutation degree mismatch")
-        out = {}
-        for word, coeff in self._terms.items():
-            out[bytes(map(word.__getitem__, sigma))] = coeff
-        return SparseTensor._raw(self.degree, self.n, out)
-
-    def weight_gl(self) -> tuple[int, ...] | None:
-        """Common GL letter-count vector of all words, or None if mixed."""
-        weight = None
-        for word in self._terms:
-            vec = [0] * self.n
-            for b in word:
-                vec[b - 1] += 1
-            vec = tuple(vec)
-            if weight is None:
-                weight = vec
-            elif weight != vec:
-                return None
-        return weight
+        return SparseTensor._raw((self.degree + other.degree, self.n), out)
 
     def to_json_dict(self) -> dict:
         if self.n % 2:
@@ -304,7 +320,7 @@ def _perm_sign(sigma) -> int:
     return sign
 
 
-class PermAlgebraElement:
+class PermAlgebraElement(_Combination):
     """Finitely supported rational combination of place permutations.
 
     Permutations are stored 0-indexed as tuples sigma with the action
@@ -312,30 +328,23 @@ class PermAlgebraElement:
     (w . sigma) . tau = w . (sigma * tau).
     """
 
-    __slots__ = ("degree", "_terms")
+    __slots__ = ()
+    degree = property(lambda self: self._shape[0])
 
     def __init__(self, degree: int, terms=None):
-        self.degree = degree
-        clean: dict[tuple[int, ...], Coeff] = {}
-        for sigma, coeff in (terms or {}).items():
-            if not coeff:
-                continue
+        self._shape = (degree,)
+
+        def check(sigma) -> tuple[int, ...]:
             sigma = tuple(sigma)
             if sorted(sigma) != list(range(degree)):
                 raise ValueError(f"not a permutation of 0..{degree - 1}: {sigma}")
-            clean[sigma] = clean.get(sigma, 0) + coeff
-        self._terms = {s: c for s, c in clean.items() if c}
+            return sigma
 
-    @classmethod
-    def _raw(cls, degree, terms) -> "PermAlgebraElement":
-        self = object.__new__(cls)
-        self.degree = degree
-        self._terms = terms
-        return self
+        self._set_terms(terms, check)
 
     @classmethod
     def identity(cls, degree: int) -> "PermAlgebraElement":
-        return cls._raw(degree, {tuple(range(degree)): 1})
+        return cls._raw((degree,), {tuple(range(degree)): 1})
 
     @classmethod
     def transposition(cls, degree: int, i: int) -> "PermAlgebraElement":
@@ -344,33 +353,17 @@ class PermAlgebraElement:
             raise ValueError(f"s_{i} undefined in degree {degree}")
         sigma = list(range(degree))
         sigma[i - 1], sigma[i] = sigma[i], sigma[i - 1]
-        return cls._raw(degree, {tuple(sigma): 1})
+        return cls._raw((degree,), {tuple(sigma): 1})
 
     @classmethod
     def from_permutation(cls, sigma, coeff: Coeff = 1) -> "PermAlgebraElement":
         return cls(len(tuple(sigma)), {tuple(sigma): coeff})
 
-    def terms(self):
-        return sorted(self._terms.items())
-
-    def support_size(self) -> int:
-        return len(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __add__(self, other):
         other = self._coerce(other)
-        if self.degree != other.degree:
+        if self._shape != other._shape:
             raise ValueError("degree mismatch")
-        out = dict(self._terms)
-        for sigma, coeff in other._terms.items():
-            new = out.get(sigma, 0) + coeff
-            if new:
-                out[sigma] = new
-            else:
-                out.pop(sigma, None)
-        return PermAlgebraElement._raw(self.degree, out)
+        return self._sum(other, "PermAlgebraElement.add")
 
     def __radd__(self, other):
         return self + other
@@ -386,45 +379,22 @@ class PermAlgebraElement:
             return value
         if isinstance(value, (int, Fraction)):
             return PermAlgebraElement._raw(
-                self.degree, {tuple(range(self.degree)): value} if value else {}
+                self._shape, {tuple(range(self.degree)): value} if value else {}
             )
         raise TypeError(f"cannot combine PermAlgebraElement with {value!r}")
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return PermAlgebraElement._raw(self.degree, {})
-            return PermAlgebraElement._raw(
-                self.degree, {s: c * other for s, c in self._terms.items()}
-            )
-        other = self._coerce(other)
-        if self.degree != other.degree:
+        if not isinstance(other, PermAlgebraElement):
+            return self._scale(other)
+        if self._shape != other._shape:
             raise ValueError("degree mismatch")
-        out: dict[tuple[int, ...], Coeff] = {}
-        for sigma, c1 in self._terms.items():
-            for tau, c2 in other._terms.items():
-                prod = tuple(map(sigma.__getitem__, tau))
-                new = out.get(prod, 0) + c1 * c2
-                if new:
-                    out[prod] = new
-                else:
-                    out.pop(prod, None)
-        return PermAlgebraElement._raw(self.degree, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return self._coerce(other) * self
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PermAlgebraElement)
-            and self.degree == other.degree
-            and self._terms == other._terms
+        products = (
+            (tuple(map(sigma.__getitem__, tau)), c1 * c2)
+            for sigma, c1 in self._terms.items()
+            for tau, c2 in other._terms.items()
         )
-
-    def __hash__(self):
-        return hash((self.degree, frozenset(self._terms.items())))
+        out = _accumulate({}, products, "PermAlgebraElement.mul")
+        return PermAlgebraElement._raw(self._shape, out)
 
     def __repr__(self):
         shown = ", ".join(f"{rat_str(c)}*{s}" for s, c in itertools.islice(self.terms(), 3))
@@ -439,21 +409,11 @@ def act_perm(tensor: SparseTensor, element: PermAlgebraElement) -> SparseTensor:
             f"degree mismatch: tensor {tensor.degree}, algebra {element.degree}"
         )
     out: dict[bytes, Coeff] = {}
-    counter = 0
+    terms = tensor._terms.items()
     for sigma, scale in element._terms.items():
-        getter = sigma
-        for word, coeff in tensor._terms.items():
-            key = bytes(map(word.__getitem__, getter))
-            new = out.get(key, 0) + coeff * scale
-            if new:
-                out[key] = new
-            else:
-                out.pop(key, None)
-            counter += 1
-            if counter % 65536 == 0:
-                _note_terms(len(out), "act_perm")
-    _note_terms(len(out), "act_perm")
-    return SparseTensor._raw(tensor.degree, tensor.n, out)
+        moved = ((bytes(map(word.__getitem__, sigma)), coeff * scale) for word, coeff in terms)
+        _accumulate(out, moved, "act_perm")
+    return SparseTensor._raw(tensor._shape, out)
 
 
 def omega(g: int) -> SparseTensor:
@@ -463,7 +423,7 @@ def omega(g: int) -> SparseTensor:
     for i in range(1, space.n + 1):
         j, sign = space.dual_basis_vector(i)
         terms[bytes((i, j))] = sign
-    return SparseTensor._raw(2, space.n, terms)
+    return SparseTensor._raw((2, space.n), terms)
 
 
 def wedge(indices, n: int) -> SparseTensor:
@@ -481,6 +441,17 @@ def wedge(indices, n: int) -> SparseTensor:
     return SparseTensor(len(indices), n, terms)
 
 
+@cache
+def _dual_letters(n: int) -> tuple[tuple[bytes, bytes, int], ...]:
+    """(e_r, e_r', sign) as one-letter words for r = 1..n, where e_r* = sign e_r'."""
+    space = SymplecticSpace(n // 2)
+    out = []
+    for r in range(1, n + 1):
+        rdual, sign = space.dual_basis_vector(r)
+        out.append((bytes((r,)), bytes((rdual,)), sign))
+    return tuple(out)
+
+
 def expansion(tensor: SparseTensor, i: int, j: int) -> SparseTensor:
     """The (i, j)-expansion: insert e_r at slot i and e_r* at slot j, summed over r.
 
@@ -491,28 +462,16 @@ def expansion(tensor: SparseTensor, i: int, j: int) -> SparseTensor:
         raise ValueError(f"need 1 <= i < j <= {k + 2}, got ({i}, {j})")
     if tensor.n % 2:
         raise ValueError("expansion needs a symplectic alphabet")
-    space = SymplecticSpace(tensor.n // 2)
-    pairs = [space.dual_basis_vector(r) for r in range(1, space.n + 1)]
-    out: dict[bytes, Coeff] = {}
-    for word, coeff in tensor._terms.items():
-        template = bytearray(k + 2)
-        src = iter(word)
-        for p in range(1, k + 3):
-            if p == i or p == j:
-                continue
-            template[p - 1] = next(src)
-        for r in range(1, space.n + 1):
-            rdual, sign = pairs[r - 1]
-            template[i - 1] = r
-            template[j - 1] = rdual
-            key = bytes(template)
-            new = out.get(key, 0) + coeff * sign
-            if new:
-                out[key] = new
-            else:
-                out.pop(key, None)
-    _note_terms(len(out), "expansion")
-    return SparseTensor._raw(k + 2, tensor.n, out)
+    letters = _dual_letters(tensor.n)
+    # The original word splits around the inserted slots i and j.
+    a, b = i - 1, j - 2
+    pieces = [(word[:a], word[a:b], word[b:], coeff) for word, coeff in tensor._terms.items()]
+    expanded = (
+        (head + r + mid + rdual + tail, coeff * sign)
+        for head, mid, tail, coeff in pieces
+        for r, rdual, sign in letters
+    )
+    return SparseTensor._raw((k + 2, tensor.n), _accumulate({}, expanded, "expansion"))
 
 
 def cont_k(tensor: SparseTensor) -> SparseTensor:
@@ -522,18 +481,15 @@ def cont_k(tensor: SparseTensor) -> SparseTensor:
     if tensor.n % 2:
         raise ValueError("contraction needs a symplectic alphabet")
     space = SymplecticSpace(tensor.n // 2)
-    out: dict[bytes, Coeff] = {}
-    for word, coeff in tensor._terms.items():
-        value = space.pairing(word[1], word[0])
-        if not value:
-            continue
-        key = word[2:]
-        new = out.get(key, 0) + coeff * value
-        if new:
-            out[key] = new
-        else:
-            out.pop(key, None)
-    return SparseTensor._raw(tensor.degree - 2, tensor.n, out)
+
+    def contracted():
+        for word, coeff in tensor._terms.items():
+            value = space.pairing(word[1], word[0])
+            if value:
+                yield word[2:], coeff * value
+
+    out = _accumulate({}, contracted(), "cont_k")
+    return SparseTensor._raw((tensor.degree - 2, tensor.n), out)
 
 
 def _canonical_rotation(word: bytes) -> bytes:
@@ -542,56 +498,27 @@ def _canonical_rotation(word: bytes) -> bytes:
     return min(word[s:] + word[:s] for s in range(len(word)))
 
 
-class CyclicVector:
+class CyclicVector(_Combination):
     """Image of a tensor in the quotient by sign-free cyclic rotation.
 
     Coefficients are stored on the lexicographically least rotation of each
     orbit.
     """
 
-    __slots__ = ("degree", "n", "_terms")
+    __slots__ = ()
+    degree = property(lambda self: self._shape[0])
+    n = property(lambda self: self._shape[1])
 
     def __init__(self, degree: int, n: int, terms=None):
-        self.degree = degree
-        self.n = n
-        clean: dict[bytes, Coeff] = {}
-        for word, coeff in (terms or {}).items():
-            word = _canonical_rotation(bytes(word))
-            if len(word) != degree:
-                raise ValueError("word length mismatch")
-            clean[word] = clean.get(word, 0) + coeff
-        self._terms = {w: c for w, c in clean.items() if c}
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def terms(self):
-        return sorted(self._terms.items())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CyclicVector)
-            and self.degree == other.degree
-            and self.n == other.n
-            and self._terms == other._terms
+        _check_alphabet(degree, n)
+        self._shape = (degree, n)
+        self._set_terms(
+            terms, lambda word: _canonical_rotation(_checked_word(word, degree, n))
         )
-
-    def __hash__(self):
-        return hash((self.degree, self.n, frozenset(self._terms.items())))
-
-    def __mul__(self, scalar: Coeff):
-        if not scalar:
-            return CyclicVector(self.degree, self.n)
-        out = {w: c * scalar for w, c in self._terms.items()}
-        result = object.__new__(CyclicVector)
-        result.degree, result.n, result._terms = self.degree, self.n, out
-        return result
-
-    __rmul__ = __mul__
 
     def ratio_to(self, other: "CyclicVector") -> Fraction | None:
         """The scalar s with self = s * other, or None if not proportional."""
-        if self.degree != other.degree or self.n != other.n:
+        if self._shape != other._shape:
             return None
         if other.is_zero():
             return None
@@ -623,14 +550,9 @@ class CyclicVector:
 
 def cyclic_project(tensor: SparseTensor) -> CyclicVector:
     """Sum coefficients over rotation orbits, signs untouched."""
-    out: dict[bytes, Coeff] = {}
-    for word, coeff in tensor._terms.items():
-        key = _canonical_rotation(word)
-        out[key] = out.get(key, 0) + coeff
-    out = {w: c for w, c in out.items() if c}
-    result = object.__new__(CyclicVector)
-    result.degree, result.n, result._terms = tensor.degree, tensor.n, out
-    return result
+    orbits = ((_canonical_rotation(word), coeff) for word, coeff in tensor._terms.items())
+    out = _accumulate({}, orbits, "cyclic_project")
+    return CyclicVector._raw((tensor.degree, tensor.n), out)
 
 
 def _column_major_positions(lam: Partition):
@@ -661,7 +583,7 @@ def _block_group(degree: int, blocks, signed: bool) -> PermAlgebraElement:
                 index = {p: q for q, p in enumerate(block)}
                 sign *= _perm_sign(tuple(index[v] for v in image))
         terms[tuple(sigma)] = sign if signed else 1
-    return PermAlgebraElement._raw(degree, terms)
+    return PermAlgebraElement._raw((degree,), terms)
 
 
 def young_symmetrizer(lam) -> PermAlgebraElement:

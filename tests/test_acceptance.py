@@ -12,7 +12,12 @@ import time
 from fractions import Fraction
 from math import comb
 
-from jcokernel.brauer import check_relations, ram_character, span_equality_check
+from jcokernel.brauer import (
+    _random_tensor,
+    check_relations,
+    ram_character,
+    span_equality_check,
+)
 from jcokernel.combinatorics import (
     brauer_dim,
     kw_multiplicity,
@@ -54,14 +59,6 @@ from jcokernel.tensorspace import (
 def _report(number: int, ok: bool, detail: str) -> bool:
     print(f"{'PASS' if ok else 'FAIL'}  criterion {number}: {detail}")
     return ok
-
-
-def _random_tensor(rng, degree, n, nterms=6):
-    terms = {}
-    for _ in range(nterms):
-        word = bytes(rng.randint(1, n) for _ in range(degree))
-        terms[word] = terms.get(word, 0) + rng.randint(-4, 4)
-    return SparseTensor(degree, n, terms)
 
 
 def test_criterion_1_alternating_family_flagship():
@@ -254,7 +251,7 @@ def test_criterion_6_projector_operator_identity():
         proj = averaged_projector(k)
         lhs = proj * theta_stabilizer(k)
         for _ in range(50):
-            t = _random_tensor(rng, k + 2, 2 * g)
+            t = _random_tensor(rng, k + 2, 2 * g, nterms=6)
             ok = ok and act_perm(t, lhs) == (k + 1) * act_perm(t, proj)
     elapsed = time.time() - start
     ok = ok and elapsed <= 30

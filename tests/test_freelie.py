@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from jcokernel.brauer import _random_tensor as random_tensor
 from jcokernel.freelie import (
     FAMILY_ALTERNATING,
     FAMILY_SYMMETRIC,
@@ -31,14 +32,6 @@ from jcokernel.tensorspace import (
     omega,
     wedge,
 )
-
-
-def random_tensor(rng, degree, n, nterms=5):
-    terms = {}
-    for _ in range(nterms):
-        word = bytes(rng.randint(1, n) for _ in range(degree))
-        terms[word] = terms.get(word, 0) + rng.randint(-4, 4)
-    return SparseTensor(degree, n, terms)
 
 
 def bracket_oracle(letters, n):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from jcokernel.brauer import _random_tensor as random_tensor
 from jcokernel.partitions import partitions_of
 from jcokernel.spweights import (
     form_compatible,
@@ -19,14 +20,6 @@ from jcokernel.tensorspace import (
     sp_maximal_vector,
     wedge,
 )
-
-
-def random_tensor(rng, degree, n, nterms=5):
-    terms = {}
-    for _ in range(nterms):
-        word = bytes(rng.randint(1, n) for _ in range(degree))
-        terms[word] = terms.get(word, 0) + rng.randint(-4, 4)
-    return SparseTensor(degree, n, terms)
 
 
 def test_word_weights():

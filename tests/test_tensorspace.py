@@ -4,8 +4,10 @@ from math import factorial
 
 import pytest
 
+from jcokernel.brauer import BrauerDiagram, BrauerElement, _random_tensor as random_tensor
 from jcokernel.partitions import partitions_of
 from jcokernel.tensorspace import (
+    CyclicVector,
     PermAlgebraElement,
     SparseTensor,
     SymplecticSpace,
@@ -24,14 +26,6 @@ from jcokernel.tensorspace import (
     young_row_factor,
     young_symmetrizer,
 )
-
-
-def random_tensor(rng, degree, n, nterms=5):
-    terms = {}
-    for _ in range(nterms):
-        word = bytes(rng.randint(1, n) for _ in range(degree))
-        terms[word] = terms.get(word, 0) + rng.randint(-4, 4)
-    return SparseTensor(degree, n, terms)
 
 
 def random_perm_element(rng, degree, nterms=3):
@@ -303,6 +297,50 @@ def test_no_stored_zeros_after_arithmetic():
     assert u.is_zero() and u.support_size() == 0
     v = omega(2) + (-1) * omega(2)
     assert v.support_size() == 0
+
+
+EXACT_ELEMENTS = {
+    "SparseTensor": lambda c: SparseTensor(2, 4, {b"\x01\x02": c}),
+    "PermAlgebraElement": lambda c: PermAlgebraElement(2, {(1, 0): c}),
+    "CyclicVector": lambda c: CyclicVector(2, 4, {b"\x02\x01": c}),
+    "BrauerElement": lambda c: BrauerElement(2, -4, {BrauerDiagram.gamma(2, 1): c}),
+}
+
+
+@pytest.mark.parametrize("make", EXACT_ELEMENTS.values(), ids=EXACT_ELEMENTS.keys())
+def test_coefficients_and_scalars_are_exact(make):
+    half = make(Fraction(1, 2))
+    assert half * 2 == 2 * half == make(1)
+    assert (half * 0).is_zero()
+    for inexact in (0.5, 1.0, 1j, "2"):
+        with pytest.raises(TypeError):
+            half * inexact
+        with pytest.raises(TypeError):
+            inexact * half
+        with pytest.raises(TypeError):
+            make(inexact)
+
+
+def test_tensor_times_tensor_is_rejected():
+    with pytest.raises(TypeError):
+        omega(2) * omega(2)
+    v = cyclic_project(omega(2))
+    with pytest.raises(TypeError):
+        v * v
+
+
+def test_cyclic_vector_validates_words_like_sparse_tensor():
+    for bad in ({b"\x09\x01": 1}, {b"\x00\x01": 1}, {b"\x01": 1}):
+        with pytest.raises(ValueError):
+            SparseTensor(2, 4, bad)
+        with pytest.raises(ValueError):
+            CyclicVector(2, 4, bad)
+    for degree, n in ((-1, 4), (2, 0), (2, 256)):
+        with pytest.raises(ValueError):
+            CyclicVector(degree, n)
+    assert CyclicVector(2, 4, {b"\x02\x01": 1, b"\x01\x02": 1}) == 2 * cyclic_project(
+        SparseTensor.basis_word(4, (1, 2))
+    )
 
 
 def test_serialization_round_trip_and_ordering():
