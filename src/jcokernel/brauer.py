@@ -323,7 +323,14 @@ def act_twisted(tensor: SparseTensor, element: BrauerElement) -> SparseTensor:
     return total
 
 
-def _relation_pairs(k: int, delta: Coeff):
+@cache
+def _relation_pairs(k: int, delta: Coeff) -> tuple:
+    """(name, lhs, rhs) for every defining relation of B_k(delta).
+
+    Cached: the products depend only on (k, delta), and Brauer elements are
+    immutable.
+    """
+
     def s(i):
         return BrauerElement.from_diagram(BrauerDiagram.s(k, i), delta)
 
@@ -361,7 +368,7 @@ def _relation_pairs(k: int, delta: Coeff):
                 gm(i + 1) * s(i),
             )
         )
-    return pairs
+    return tuple(pairs)
 
 
 def check_relations(k: int, g: int, rng=None, panel: int = 3) -> bool:

@@ -14,6 +14,7 @@ from math import comb
 from .tensorspace import (
     PermAlgebraElement,
     SparseTensor,
+    _accumulate,
     act_perm,
     expansion,
     omega,
@@ -102,12 +103,15 @@ def apply_theta_stabilizer(tensor: SparseTensor, k: int) -> SparseTensor:
 def rotation_orbit_sum(tensor: SparseTensor) -> SparseTensor:
     """t . (1 + sigma + ... + sigma^(m-1)) for the full rotation sigma."""
     sigma = full_cycle(tensor.degree)
-    total = tensor
+    total = dict(tensor._terms)
     current = tensor
     for _ in range(tensor.degree - 1):
         current = act_perm(current, sigma)
-        total = total + current
-    return total
+        _accumulate(total, current._terms.items(), "add")
+    # Cancelled terms leave the grown table oversized (1.3 MB against 0.6 MB
+    # for the [1^5] candidate at g=7).  The result stays alive through every
+    # later stage, so return a copy sized for the surviving terms.
+    return SparseTensor._raw(tensor._shape, dict(total))
 
 
 def left_normed_bracket(letters, n: int) -> SparseTensor:
@@ -227,8 +231,10 @@ def closed_form_phi(family: str, k: int, g: int, check: bool = True) -> SparseTe
 
     else:
         raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
-    total = SparseTensor.zero(k + 2, n)
+    total: dict[bytes, int] = {}
     for i in range(1, k + 2):
         for r in range(1, k - i + 3):
-            total = total + coefficient(r) * expansion(base, i, i + r)
-    return 2 * total
+            scale = 2 * coefficient(r)
+            terms = expansion(base, i, i + r)._terms.items()
+            _accumulate(total, ((word, coeff * scale) for word, coeff in terms), "add")
+    return SparseTensor._raw((k + 2, n), total)

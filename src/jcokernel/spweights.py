@@ -9,6 +9,8 @@ agree, and the operator check is a finite exact computation.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress, repeat
+from operator import contains
 
 from .tensorspace import Coeff, SparseTensor, SymplecticSpace, _accumulate
 
@@ -35,17 +37,27 @@ class LieOperator:
         """Leibniz extension: sum over positions of the one-letter action."""
         if tensor.n != self.n:
             raise ValueError("alphabet mismatch")
-        columns = {
-            a: [(bytes((b,)), c) for b, c in image] for a, image in self.columns.items()
-        }
-        images = (
-            (word[:p] + target + word[p + 1 :], coeff * scale)
-            for word, coeff in tensor._terms.items()
-            for p, letter in enumerate(word)
-            if letter in columns
-            for target, scale in columns[letter]
-        )
-        return SparseTensor._raw(tensor._shape, _accumulate({}, images, "apply"))
+        terms = tensor._terms
+
+        def images():
+            for a, image in self.columns.items():
+                letter = bytes((a,))
+                targets = [(bytes((b,)), c) for b, c in image]
+                # Only words holding the letter move; select them in C.
+                hits = compress(terms.items(), map(contains, terms, repeat(a)))
+                for word, coeff in hits:
+                    if word.count(a) == 1:
+                        for target, scale in targets:
+                            yield word.replace(letter, target), coeff * scale
+                    else:
+                        p = word.find(a)
+                        while p >= 0:
+                            head, tail = word[:p], word[p + 1 :]
+                            for target, scale in targets:
+                                yield head + target + tail, coeff * scale
+                            p = word.find(a, p + 1)
+
+        return SparseTensor._raw(tensor._shape, _accumulate({}, images(), "apply"))
 
     def __repr__(self):
         return f"LieOperator({self.name or self.columns})"

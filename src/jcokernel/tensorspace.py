@@ -17,6 +17,7 @@ import os
 from fractions import Fraction
 from functools import cache
 from math import factorial
+from operator import itemgetter
 
 from .partitions import Partition
 
@@ -139,7 +140,9 @@ def _exact(value: Coeff, what: str) -> Coeff:
 def _accumulate(out: dict, pairs, operation: str) -> dict:
     """Sum (key, coeff) pairs into out, dropping keys whose sum is zero.
 
-    The one place that reports live terms to the watermark, once per call.
+    Reports live terms to the watermark once per call; the only other
+    reporters are the builders whose terms cannot collide, `tensor` and the
+    one-permutation `act_perm`.
     """
     get = out.get
     for key, coeff in pairs:
@@ -408,10 +411,26 @@ def act_perm(tensor: SparseTensor, element: PermAlgebraElement) -> SparseTensor:
         raise ValueError(
             f"degree mismatch: tensor {tensor.degree}, algebra {element.degree}"
         )
-    out: dict[bytes, Coeff] = {}
     terms = tensor._terms.items()
+    if len(element._terms) == 1:
+        # One permutation maps words one-to-one and its coefficient is
+        # nonzero, so no two images collide and no term cancels.
+        ((sigma, scale),) = element._terms.items()
+        if len(sigma) < 2:
+            # The identity is the only permutation here.  itemgetter() would
+            # need an index, and itemgetter(0) returns an int, which bytes()
+            # reads as a length.
+            out = {word: coeff * scale for word, coeff in terms}
+        else:
+            pick = itemgetter(*sigma)
+            out = {bytes(pick(word)): coeff * scale for word, coeff in terms}
+        _note_terms(len(out), "act_perm")
+        return SparseTensor._raw(tensor._shape, out)
+    # Several permutations occur only in degree >= 2.
+    out = {}
     for sigma, scale in element._terms.items():
-        moved = ((bytes(map(word.__getitem__, sigma)), coeff * scale) for word, coeff in terms)
+        pick = itemgetter(*sigma)
+        moved = ((bytes(pick(word)), coeff * scale) for word, coeff in terms)
         _accumulate(out, moved, "act_perm")
     return SparseTensor._raw(tensor._shape, out)
 

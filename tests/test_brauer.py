@@ -8,6 +8,7 @@ from jcokernel.brauer import (
     BrauerDiagram,
     BrauerElement,
     _random_tensor as random_tensor,
+    _relation_pairs,
     act_twisted,
     act_twisted_diagram,
     all_diagrams,
@@ -96,8 +97,13 @@ def test_braid_relation_diagrammatically():
 
 
 def test_check_relations():
-    assert check_relations(3, 3)
-    assert check_relations(4, 4)
+    for k in range(2, 6):
+        assert check_relations(k, k)
+
+
+def test_relation_products_are_built_once_per_parameter():
+    assert _relation_pairs(4, -8) is _relation_pairs(4, -8)
+    assert _relation_pairs(4, -8) is not _relation_pairs(4, -10)
 
 
 # ------------------------------------------------------------------ action

@@ -11,6 +11,7 @@ from jcokernel.detector import (
     uniqueness_context,
 )
 from jcokernel.partitions import Partition
+from jcokernel.tensorspace import peak_terms, reset_peak_terms
 
 
 def test_symmetric_family_small():
@@ -25,7 +26,11 @@ def test_symmetric_family_small():
 
 
 def test_alternating_family_flagship():
+    reset_peak_terms()
     report = detect("[1^k]", 5, 7)
+    # The largest live support any step builds; pinned so that a change to
+    # how sums are formed or reported cannot move the watermark unseen.
+    assert peak_terms() == 18960
     assert report.verdict == "detected"
     assert report.weight == (1, 1, 1, 1, 1, 0, 0)
     assert report.scalar == Fraction(-4 * (7 + 1))

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -117,3 +118,34 @@ def test_wedge_is_maximal_of_column_weight():
         g = k + 2
         ok, weight = is_maximal(wedge(range(1, k + 1), 2 * g), "sp")
         assert ok and weight == (1,) * k + (0,) * (g - k)
+
+
+def apply_reference(op, tensor):
+    """Per-position Leibniz rule, summed in a plain dict."""
+    out = {}
+    for word, coeff in tensor.terms():
+        for p, a in enumerate(word):
+            for b, c in op.apply_letter(a):
+                image = word[:p] + bytes((b,)) + word[p + 1 :]
+                out[image] = out.get(image, 0) + coeff * c
+    return {word: coeff for word, coeff in out.items() if coeff}
+
+
+def test_apply_matches_per_position_reference():
+    rng = random.Random(31)
+    for g in (1, 2, 3):
+        n = 2 * g
+        for op in raising_operators("gl", g) + raising_operators("sp", g):
+            for a in op.columns:
+                others = [b for b in range(1, n + 1) if b != a]
+                # Words hold the moved letter zero, one or several times;
+                # omega (x) u adds images that cancel under the sp operators.
+                for times in (0, 1, 2, 3):
+                    terms = {}
+                    for _ in range(4):
+                        word = [rng.choice(others) for _ in range(5 - times)]
+                        for _ in range(times):
+                            word.insert(rng.randint(0, len(word)), a)
+                        terms[bytes(word)] = rng.choice((1, -2, Fraction(3, 5)))
+                    t = SparseTensor(5, n, terms) + omega(g).tensor(random_tensor(rng, 3, n))
+                    assert dict(op.apply(t).terms()) == apply_reference(op, t)

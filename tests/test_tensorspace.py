@@ -131,6 +131,43 @@ def test_degree_mismatch_rejected():
         act_perm(SparseTensor.basis_word(4, (1, 2)), PermAlgebraElement.identity(3))
 
 
+def act_perm_reference(tensor, element):
+    """Per-letter right action w -> w . sigma, summed in a plain dict."""
+    out = {}
+    for sigma, scale in element.terms():
+        for word, coeff in tensor.terms():
+            moved = bytes(word[s] for s in sigma)
+            out[moved] = out.get(moved, 0) + coeff * scale
+    return {word: coeff for word, coeff in out.items() if coeff}
+
+
+def test_act_perm_matches_per_letter_reference():
+    rng = random.Random(29)
+    cancelling = 0
+    # Degrees 0 and 1 included: there itemgetter() needs an index, and
+    # itemgetter(0) returns an int, which bytes() reads as a length.
+    for degree in range(8):
+        for n in (1, 2, 5):
+            t = random_tensor(rng, degree, n, nterms=6)
+            sigma = list(range(degree))
+            rng.shuffle(sigma)
+            scale = rng.choice((1, -3, Fraction(2, 7)))
+            elements = [
+                PermAlgebraElement.from_permutation(sigma, scale),
+                random_perm_element(rng, degree, nterms=4),
+                PermAlgebraElement(degree),
+            ]
+            if degree >= 2:
+                # Kills every word whose first two letters agree.
+                elements.append(1 - PermAlgebraElement.transposition(degree, 1))
+            for element in elements:
+                expected = act_perm_reference(t, element)
+                assert dict(act_perm(t, element).terms()) == expected
+            # expected is now the image under 1 - s_1 when degree >= 2.
+            cancelling += degree >= 2 and len(expected) < t.support_size()
+    assert cancelling
+
+
 # -------------------------------------------------------------- expansion
 
 
