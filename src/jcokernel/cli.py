@@ -10,34 +10,16 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 
 from . import selftest
 from .brauer import ram_character
 from .combinatorics import sp_decomposition, witt_rank
 from .detector import detect
+from .freelie import FAMILIES
 from .partitions import CycleType, Partition, partitions_of
 from .tensorspace import TermLimitError, get_term_limit, set_term_limit
 
 FORMATS = ("text", "json", "csv")
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation: everything a command needs to run reproducibly."""
-
-    command: str
-    k: int | None = None
-    g: int | None = None
-    n: int | None = None
-    k_max: int | None = None
-    family: str | None = None
-    source: str | None = None
-    level: str = "fast"
-    fmt: str = "text"
-    seed: int = 0
-    watermark: int | None = None
-    force: bool = False
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -58,25 +40,30 @@ def _build_parser() -> argparse.ArgumentParser:
     witt = sub.add_parser("witt", help="free Lie ranks by degree")
     witt.add_argument("--n", type=int, required=True)
     witt.add_argument("--k-max", type=int, required=True, dest="k_max")
+    witt.set_defaults(handler=cmd_witt, default_fmt="text")
 
     dec = sub.add_parser("decompose", help="Sp decomposition of a named module")
     dec.add_argument("--source", choices=("h", "cyclic"), required=True)
     dec.add_argument("--k", type=int, required=True)
     dec.add_argument("--g", type=int, required=True)
+    dec.set_defaults(handler=cmd_decompose, default_fmt="text")
 
     det = sub.add_parser("detect", help="run the cokernel detection pipeline")
-    det.add_argument("--family", choices=("[k]", "[1^k]"), required=True)
+    det.add_argument("--family", choices=FAMILIES, required=True)
     det.add_argument("--k", type=int, required=True)
     det.add_argument("--g", type=int, required=True)
     det.add_argument("--force", action="store_true",
                      help="run outside the theorem range; flags the report")
+    det.set_defaults(handler=cmd_detect, default_fmt="json")
 
     bc = sub.add_parser("brauer-char", help="character table of the diagram algebra")
     bc.add_argument("--k", type=int, required=True)
     bc.add_argument("--g", type=int, required=True)
+    bc.set_defaults(handler=cmd_brauer_char, default_fmt="csv")
 
     st = sub.add_parser("selftest", help="run the invariant panels")
     st.add_argument("--level", choices=("fast", "full"), default="fast")
+    st.set_defaults(handler=cmd_selftest, default_fmt="text")
     return parser
 
 
@@ -84,12 +71,14 @@ def _partition_label(p: Partition) -> str:
     return "[" + ",".join(str(x) for x in p) + "]"
 
 
-def cmd_witt(cfg: RunConfig, out) -> int:
-    rows = [(k, witt_rank(cfg.n, k)) for k in range(1, cfg.k_max + 1)]
-    if cfg.fmt == "json":
-        out.write(json.dumps({"n": cfg.n, "ranks": {str(k): r for k, r in rows}},
+def cmd_witt(args: argparse.Namespace, out) -> int:
+    if args.k_max < 1:
+        raise ValueError(f"--k-max must be positive, got {args.k_max}")
+    rows = [(k, witt_rank(args.n, k)) for k in range(1, args.k_max + 1)]
+    if args.fmt == "json":
+        out.write(json.dumps({"n": args.n, "ranks": {str(k): r for k, r in rows}},
                              sort_keys=True) + "\n")
-    elif cfg.fmt == "csv":
+    elif args.fmt == "csv":
         writer = csv.writer(out)
         writer.writerow(["k", "rank"])
         writer.writerows(rows)
@@ -99,19 +88,19 @@ def cmd_witt(cfg: RunConfig, out) -> int:
     return 0
 
 
-def cmd_decompose(cfg: RunConfig, out) -> int:
-    table = sp_decomposition(cfg.source, cfg.k, cfg.g)
-    if cfg.fmt == "json":
+def cmd_decompose(args: argparse.Namespace, out) -> int:
+    table = sp_decomposition(args.source, args.k, args.g)
+    if args.fmt == "json":
         payload = {
-            "source": cfg.source,
-            "k": cfg.k,
-            "g": cfg.g,
+            "source": args.source,
+            "k": args.k,
+            "g": args.g,
             "components": [
                 {"weight": list(p), "multiplicity": m} for p, m in table.items()
             ],
         }
         out.write(json.dumps(payload, sort_keys=True) + "\n")
-    elif cfg.fmt == "csv":
+    elif args.fmt == "csv":
         writer = csv.writer(out)
         writer.writerow(["weight", "multiplicity"])
         for p, m in table.items():
@@ -122,22 +111,19 @@ def cmd_decompose(cfg: RunConfig, out) -> int:
     return 0
 
 
-def cmd_detect(cfg: RunConfig, out) -> int:
-    try:
-        report = detect(cfg.family, cfg.k, cfg.g, force=cfg.force)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def cmd_detect(args: argparse.Namespace, out) -> int:
+    report = detect(args.family, args.k, args.g, force=args.force)
     out.write(report.to_json() + "\n")
     return 1 if report.verdict == "inconsistent" else 0
 
 
-def cmd_brauer_char(cfg: RunConfig, out) -> int:
-    k, g = cfg.k, cfg.g
+def cmd_brauer_char(args: argparse.Namespace, out) -> int:
+    k, g = args.k, args.g
+    if k < 0 or g < 1:
+        raise ValueError(f"brauer-char needs k >= 0 and g >= 1, got k = {k}, g = {g}")
     classes = list(partitions_of(k))
-    shapes: list[Partition] = []
-    for j in range(0, k // 2 + 1):
-        shapes += [lam for lam in partitions_of(k - 2 * j) if lam.length <= g]
+    shapes = [lam for j in range(k // 2 + 1)
+              for lam in partitions_of(k - 2 * j) if lam.length <= g]
     writer = csv.writer(out)
     writer.writerow(["lambda"] + [_partition_label(c) for c in classes])
     for lam in shapes:
@@ -146,8 +132,8 @@ def cmd_brauer_char(cfg: RunConfig, out) -> int:
     return 0
 
 
-def cmd_selftest(cfg: RunConfig, out, inject_fault: bool = False) -> int:
-    checks = selftest.run_selftest(cfg.level, seed=cfg.seed, inject_fault=inject_fault)
+def cmd_selftest(args: argparse.Namespace, out, inject_fault: bool = False) -> int:
+    checks = selftest.run_selftest(args.level, seed=args.seed, inject_fault=inject_fault)
     failed = 0
     for name, passed in checks:
         out.write(f"{'PASS' if passed else 'FAIL'}  {name}\n")
@@ -156,46 +142,17 @@ def cmd_selftest(cfg: RunConfig, out, inject_fault: bool = False) -> int:
     return 1 if failed else 0
 
 
-_DEFAULT_FORMATS = {
-    "witt": "text",
-    "decompose": "text",
-    "detect": "json",
-    "brauer-char": "csv",
-    "selftest": "text",
-}
-
-
 def main(argv=None, out=None) -> int:
     args = _build_parser().parse_args(argv)
     out = out if out is not None else sys.stdout
-    cfg = RunConfig(
-        command=args.command,
-        fmt=args.fmt or _DEFAULT_FORMATS[args.command],
-        seed=args.seed,
-        watermark=args.watermark,
-        k=getattr(args, "k", None),
-        g=getattr(args, "g", None),
-        n=getattr(args, "n", None),
-        k_max=getattr(args, "k_max", None),
-        family=getattr(args, "family", None),
-        source=getattr(args, "source", None),
-        level=getattr(args, "level", "fast"),
-        force=getattr(args, "force", False),
-    )
-    handlers = {
-        "witt": cmd_witt,
-        "decompose": cmd_decompose,
-        "detect": cmd_detect,
-        "brauer-char": cmd_brauer_char,
-        "selftest": cmd_selftest,
-    }
+    args.fmt = args.fmt or args.default_fmt
     # --watermark applies to this call only; later calls in the same
     # interpreter see the limit that was in force before it.
     previous_limit = get_term_limit()
     try:
-        if cfg.watermark is not None:
-            set_term_limit(cfg.watermark)
-        return handlers[cfg.command](cfg, out)
+        if args.watermark is not None:
+            set_term_limit(args.watermark)
+        return args.handler(args, out)
     except TermLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -16,8 +16,7 @@ from fractions import Fraction
 from .combinatorics import mult_sp_in_module
 from .freelie import (
     FAMILIES,
-    FAMILY_ALTERNATING,
-    FAMILY_SYMMETRIC,
+    _family,
     closed_form_phi,
     family_preconditions,
     is_in_h,
@@ -25,14 +24,7 @@ from .freelie import (
 )
 from .partitions import Partition
 from .spweights import Weight, is_maximal
-from .tensorspace import (
-    CyclicVector,
-    SparseTensor,
-    cont_k,
-    cyclic_project,
-    rat_str,
-    wedge,
-)
+from .tensorspace import CyclicVector, cont_k, cyclic_project, rat_str
 
 REPORT_SCHEMA = "detection-report/1"
 
@@ -48,20 +40,14 @@ VERDICT_INCONSISTENT = "inconsistent"
 
 
 def family_partition(family: str, k: int) -> Partition:
-    if family == FAMILY_SYMMETRIC:
-        return Partition((k,))
-    if family == FAMILY_ALTERNATING:
-        return Partition((1,) * k)
-    raise ValueError(f"family must be one of {FAMILIES}")
+    if family not in FAMILIES:
+        raise ValueError(f"family must be one of {FAMILIES}")
+    return _family(family).partition(k)
 
 
 def seed_projection(family: str, k: int, g: int) -> CyclicVector:
     """Rotation-quotient image of the family's seed word."""
-    if family == FAMILY_SYMMETRIC:
-        seed = SparseTensor.basis_word(2 * g, (1,) * k)
-    else:
-        seed = wedge(range(1, k + 1), 2 * g)
-    return cyclic_project(seed)
+    return cyclic_project(_family(family).word(k, 2 * g))
 
 
 @dataclass

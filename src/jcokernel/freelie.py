@@ -9,8 +9,13 @@ the bracket map inside H (x) FreeLie(k+1), viewed in tensor degree k+2.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+from dataclasses import dataclass
+from functools import cache, reduce
 from math import comb
+from operator import mul
 
+from .partitions import Partition
 from .tensorspace import (
     PermAlgebraElement,
     SparseTensor,
@@ -26,15 +31,43 @@ FAMILY_ALTERNATING = "[1^k]"
 FAMILIES = (FAMILY_SYMMETRIC, FAMILY_ALTERNATING)
 
 
+def _rotation(m: int, start: int, stop: int) -> PermAlgebraElement:
+    """Rotate slots start+1..stop (1-based), the last of them to the front."""
+    sigma = list(range(m))
+    sigma[start + 1 : stop] = range(start, stop - 1)
+    sigma[start] = stop - 1
+    return PermAlgebraElement._raw((m,), {tuple(sigma): 1})
+
+
+@cache
+def _negated_rotations(m: int, start: int) -> tuple[PermAlgebraElement, ...]:
+    """-r for the rotations r of slots start+1..stop, stop = start+2..m.
+
+    With start 0 the factors 1 - r multiply to theta_m; with start 1, which
+    fixes the first slot, to theta_P.
+    """
+    return tuple(-1 * _rotation(m, start, stop) for stop in range(start + 2, m + 1))
+
+
+def _expand(m: int, start: int) -> PermAlgebraElement:
+    one = PermAlgebraElement.identity(m)
+    return reduce(mul, [one + negated for negated in _negated_rotations(m, start)], one)
+
+
+def _fold(tensor: SparseTensor, start: int) -> SparseTensor:
+    """t times the factors of `_expand`, one at a time to bound growth: each
+    factor adds the moved copy t.(-r) into a copy of t in one pass."""
+    result = tensor
+    for negated in _negated_rotations(tensor.degree, start):
+        result = result + act_perm(result, negated)
+    return result
+
+
 def rotation_cycle(m: int, i: int) -> PermAlgebraElement:
     """sigma_i = s_{i-1}...s_1: rotate the first i slots, last of them to front."""
     if not 2 <= i <= m:
         raise ValueError(f"need 2 <= i <= {m}")
-    sigma = list(range(m))
-    sigma[0] = i - 1
-    for p in range(1, i):
-        sigma[p] = p - 1
-    return PermAlgebraElement._raw((m,), {tuple(sigma): 1})
+    return _rotation(m, 0, i)
 
 
 def full_cycle(m: int) -> PermAlgebraElement:
@@ -42,25 +75,11 @@ def full_cycle(m: int) -> PermAlgebraElement:
     return rotation_cycle(m, m)
 
 
-def _stabilizer_rotation(m: int, i: int) -> PermAlgebraElement:
-    """s_i s_{i-1} ... s_2: rotate slots 2..i+1, fixing slot 1."""
-    if not 2 <= i <= m - 1:
-        raise ValueError(f"need 2 <= i <= {m - 1}")
-    sigma = list(range(m))
-    sigma[1] = i
-    for p in range(2, i + 1):
-        sigma[p] = p - 1
-    return PermAlgebraElement._raw((m,), {tuple(sigma): 1})
-
-
 def theta(m: int) -> PermAlgebraElement:
     """The product (1 - sigma_2)...(1 - sigma_m); satisfies theta^2 = m theta."""
     if m < 2:
         raise ValueError("theta needs degree >= 2")
-    result = PermAlgebraElement.identity(m)
-    for i in range(2, m + 1):
-        result = result * (1 - rotation_cycle(m, i))
-    return result
+    return _expand(m, 0)
 
 
 def theta_stabilizer(k: int) -> PermAlgebraElement:
@@ -71,33 +90,21 @@ def theta_stabilizer(k: int) -> PermAlgebraElement:
     """
     if k < 1:
         raise ValueError("k must be positive")
-    m = k + 2
-    result = PermAlgebraElement.identity(m)
-    for i in range(2, k + 2):
-        result = result * (1 - _stabilizer_rotation(m, i))
-    return result
+    return _expand(k + 2, 1)
 
 
 def apply_theta(tensor: SparseTensor) -> SparseTensor:
     """t . theta_m, folding the factors one at a time to bound growth."""
-    m = tensor.degree
-    if m < 2:
+    if tensor.degree < 2:
         raise ValueError("theta needs degree >= 2")
-    result = tensor
-    for i in range(2, m + 1):
-        result = result - act_perm(result, rotation_cycle(m, i))
-    return result
+    return _fold(tensor, 0)
 
 
 def apply_theta_stabilizer(tensor: SparseTensor, k: int) -> SparseTensor:
     """t . theta_P for a degree-(k+2) tensor, folded factor by factor."""
-    m = k + 2
-    if tensor.degree != m:
-        raise ValueError(f"tensor degree must be {m}")
-    result = tensor
-    for i in range(2, k + 2):
-        result = result - act_perm(result, _stabilizer_rotation(m, i))
-    return result
+    if tensor.degree != k + 2:
+        raise ValueError(f"tensor degree must be {k + 2}")
+    return _fold(tensor, 1)
 
 
 def rotation_orbit_sum(tensor: SparseTensor) -> SparseTensor:
@@ -152,36 +159,74 @@ def averaged_projector(k: int) -> PermAlgebraElement:
     """theta_P (1 + sigma + ... + sigma^(k+1)); lands every vector in the
     bracket-map kernel."""
     m = k + 2
-    sigma = full_cycle(m)
-    powers = PermAlgebraElement.identity(m)
-    current = PermAlgebraElement.identity(m)
-    for _ in range(k + 1):
-        current = current * sigma
-        powers = powers + current
-    return theta_stabilizer(k) * powers
+    # (w . sigma^j)[p] = w[p - j]: the m powers are distinct, so nothing cancels.
+    powers = {tuple((p - j) % m for p in range(m)): 1 for j in range(m)}
+    return theta_stabilizer(k) * PermAlgebraElement._raw((m,), powers)
 
 
-def _seed(family: str, k: int, g: int) -> SparseTensor:
-    if family == FAMILY_SYMMETRIC:
-        return omega(g).tensor(SparseTensor.basis_word(2 * g, (1,) * k))
-    if family == FAMILY_ALTERNATING:
-        return omega(g).tensor(wedge(range(1, k + 1), 2 * g))
-    raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
+@dataclass(frozen=True)
+class _Family:
+    """What defines a family: its partition of k, its degree-k seed word over
+    n letters, the closed-form coefficients for r = 1..k+1, and the k its
+    theorem covers (`requirement` says which)."""
+
+    partition: Callable[[int], Partition]
+    word: Callable[[int, int], SparseTensor]
+    coefficients: Callable[[int], list[int]]
+    admissible: Callable[[int], bool]
+    requirement: str
+
+
+def _alternating_coefficients(k: int) -> list[int]:
+    if (k - 1) % 2:
+        raise ValueError("family [1^k] needs odd k for the closed form")
+    return [
+        (-1 if r % 4 in (2, 3) else 1) * comb((k - 1) // 2, (r - 1) // 2)
+        for r in range(1, k + 2)
+    ]
+
+
+_FAMILY_TABLE = {
+    FAMILY_SYMMETRIC: _Family(
+        partition=lambda k: Partition((k,)),
+        word=lambda k, n: SparseTensor.basis_word(n, (1,) * k),
+        coefficients=lambda k: [(-1) ** (r - 1) * comb(k, r - 1) for r in range(1, k + 2)],
+        admissible=lambda k: k >= 3 and k % 2 == 1,
+        requirement="family [k] requires odd k >= 3",
+    ),
+    FAMILY_ALTERNATING: _Family(
+        partition=lambda k: Partition((1,) * k),
+        word=lambda k, n: wedge(range(1, k + 1), n),
+        coefficients=_alternating_coefficients,
+        admissible=lambda k: k >= 5 and k % 4 == 1,
+        requirement="family [1^k] requires k = 1 (mod 4) and k >= 5",
+    ),
+}
+
+
+def _family(family: str) -> _Family:
+    entry = _FAMILY_TABLE.get(family)
+    if entry is None:
+        raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
+    return entry
 
 
 def family_preconditions(family: str, k: int, g: int) -> str | None:
     """The violated precondition as a message, or None when admissible."""
-    if family not in FAMILIES:
+    entry = _FAMILY_TABLE.get(family)
+    if entry is None:
         return f"family must be one of {FAMILIES}"
     if g < k + 2:
         return f"stable range requires g >= k+2 = {k + 2}, got g = {g}"
-    if family == FAMILY_SYMMETRIC:
-        if k < 3 or k % 2 == 0:
-            return f"family [k] requires odd k >= 3, got k = {k}"
-    else:
-        if k < 5 or k % 4 != 1:
-            return f"family [1^k] requires k = 1 (mod 4) and k >= 5, got k = {k}"
+    if not entry.admissible(k):
+        return f"{entry.requirement}, got k = {k}"
     return None
+
+
+def _check_preconditions(family: str, k: int, g: int) -> None:
+    problem = family_preconditions(family, k, g)
+    if problem:
+        raise ValueError(problem)
 
 
 def phi_candidate(family: str, k: int, g: int, check: bool = True) -> SparseTensor:
@@ -191,14 +236,11 @@ def phi_candidate(family: str, k: int, g: int, check: bool = True) -> SparseTens
     family "[1^k]".
     """
     if check:
-        problem = family_preconditions(family, k, g)
-        if problem:
-            raise ValueError(problem)
-    if family not in FAMILIES:
-        raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
+        _check_preconditions(family, k, g)
+    word = _family(family).word
     if g < 1 or k < 1:
         raise ValueError("k and g must be positive")
-    seed = _seed(family, k, g)
+    seed = omega(g).tensor(word(k, 2 * g))
     return rotation_orbit_sum(apply_theta_stabilizer(seed, k))
 
 
@@ -210,31 +252,15 @@ def closed_form_phi(family: str, k: int, g: int, check: bool = True) -> SparseTe
     (-1)^[r = 2,3 mod 4], binom C((k-1)/2, floor((r-1)/2)) for family "[1^k]".
     """
     if check:
-        problem = family_preconditions(family, k, g)
-        if problem:
-            raise ValueError(problem)
+        _check_preconditions(family, k, g)
+    entry = _family(family)
+    coefficients = entry.coefficients(k)
     n = 2 * g
-    if family == FAMILY_SYMMETRIC:
-        base = SparseTensor.basis_word(n, (1,) * k)
-
-        def coefficient(r: int) -> int:
-            return (-1) ** (r - 1) * comb(k, r - 1)
-
-    elif family == FAMILY_ALTERNATING:
-        if (k - 1) % 2:
-            raise ValueError("family [1^k] needs odd k for the closed form")
-        base = wedge(range(1, k + 1), n)
-
-        def coefficient(r: int) -> int:
-            sign = -1 if r % 4 in (2, 3) else 1
-            return sign * comb((k - 1) // 2, (r - 1) // 2)
-
-    else:
-        raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
+    base = entry.word(k, n)
     total: dict[bytes, int] = {}
     for i in range(1, k + 2):
         for r in range(1, k - i + 3):
-            scale = 2 * coefficient(r)
+            scale = 2 * coefficients[r - 1]
             terms = expansion(base, i, i + r)._terms.items()
             _accumulate(total, ((word, coeff * scale) for word, coeff in terms), "add")
     return SparseTensor._raw((k + 2, n), total)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import comb
 
 from .brauer import _random_tensor, check_relations, ram_character
 from .combinatorics import (
@@ -19,7 +18,13 @@ from .combinatorics import (
     witt_rank,
 )
 from .detector import detect
-from .freelie import apply_theta_stabilizer, averaged_projector, theta
+from .freelie import (
+    FAMILY_ALTERNATING,
+    _family,
+    apply_theta_stabilizer,
+    averaged_projector,
+    theta,
+)
 from .partitions import CycleType, Partition, partitions_of
 from .spweights import form_compatible, sp_raising_operators
 from .tensorspace import (
@@ -42,11 +47,10 @@ def _fast_checks(rng: random.Random) -> list[Check]:
     checks.append(
         ("theta quasi-idempotency m<=5", all(theta(m) * theta(m) == theta(m) * m for m in range(2, 6)))
     )
+    swap = PermAlgebraElement.transposition(2, 1)
     for g in (2, 4):
         om = omega(g)
-        checks.append(
-            (f"omega antisymmetry g={g}", act_perm(om, _swap(2)) == -1 * om)
-        )
+        checks.append((f"omega antisymmetry g={g}", act_perm(om, swap) == -1 * om))
     checks.append(
         ("sp raising operators form-compatible g<=4",
          all(form_compatible(op, SymplecticSpace(g)) for g in (1, 2, 3, 4) for op in sp_raising_operators(g)))
@@ -116,16 +120,10 @@ def _full_checks(rng: random.Random) -> list[Check]:
     return checks
 
 
-def _swap(degree: int):
-    return PermAlgebraElement.transposition(degree, 1)
-
-
 def _step4_sum(k: int) -> int:
-    total = 0
-    for j in range(1, k + 2):
-        sign = (-1) ** (j - 1) * (-1 if j % 4 in (2, 3) else 1)
-        total += sign * comb((k - 1) // 2, (j - 1) // 2)
-    return total
+    """sum_r (-1)^(r-1) c_r over the closed-form coefficients of [1^k]."""
+    coefficients = _family(FAMILY_ALTERNATING).coefficients(k)
+    return sum((-1) ** r * c for r, c in enumerate(coefficients))
 
 
 def run_selftest(level: str = "fast", seed: int = 0, inject_fault: bool = False) -> list[Check]:

@@ -142,8 +142,9 @@ def word_weight(word, mode: str, n: int) -> Weight:
 def common_weight(tensor: SparseTensor, mode: str) -> Weight | None:
     """The single weight shared by every word of the tensor, else None."""
     weight = None
-    for word in tensor._terms:
-        vec = word_weight(word, mode, tensor.n)
+    # Words with one letter multiset share one weight: compute it once.
+    for letters in set(map(bytes, map(sorted, tensor._terms))):
+        vec = word_weight(letters, mode, tensor.n)
         if weight is None:
             weight = vec
         elif weight != vec:
@@ -159,12 +160,8 @@ def is_maximal(tensor: SparseTensor, mode: str) -> tuple[bool, Weight | None]:
     weight = common_weight(tensor, mode)
     if weight is None:
         return False, None
-    if mode == "gl":
-        ops = gl_raising_operators(tensor.n)
-    else:
-        if tensor.n % 2:
-            raise ValueError("sp mode needs an even alphabet")
-        ops = sp_raising_operators(tensor.n // 2)
+    # common_weight has checked the mode, and the alphabet for mode "sp".
+    ops = gl_raising_operators(tensor.n) if mode == "gl" else sp_raising_operators(tensor.n // 2)
     for op in ops:
         if not op.apply(tensor).is_zero():
             return False, None

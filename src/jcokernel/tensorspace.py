@@ -16,7 +16,7 @@ import json
 import os
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import factorial, prod
 from operator import itemgetter
 
 from .partitions import Partition
@@ -97,6 +97,8 @@ class SymplecticSpace:
     def __init__(self, g: int):
         if g < 1:
             raise ValueError("genus must be positive")
+        if g > 127:
+            raise ValueError(f"genus {g} out of range: the 2g letters are bytes, so g <= 127")
         self.g = g
         self.n = 2 * g
 
@@ -216,7 +218,7 @@ def _check_alphabet(degree: int, n: int) -> None:
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     if not 1 <= n <= 255:
-        raise ValueError("alphabet size out of range")
+        raise ValueError(f"alphabet size {n} out of range 1..255: letters are bytes (g <= 127)")
 
 
 def _checked_word(word, degree: int, n: int) -> bytes:
@@ -451,6 +453,7 @@ def wedge(indices, n: int) -> SparseTensor:
     A repeated index yields the zero tensor.
     """
     indices = tuple(indices)
+    _check_alphabet(len(indices), n)
     if len(set(indices)) != len(indices):
         return SparseTensor.zero(len(indices), n)
     terms: dict[bytes, Coeff] = {}
@@ -623,14 +626,7 @@ def young_symmetrizer(lam) -> PermAlgebraElement:
 
 def young_row_factor(lam) -> int:
     """The scale prod(lam_i!) relating word * symmetrizer to the wedge form."""
-    return _prod(factorial(p) for p in Partition(lam))
-
-
-def _prod(values) -> int:
-    out = 1
-    for v in values:
-        out *= v
-    return out
+    return prod(factorial(p) for p in Partition(lam))
 
 
 def gl_maximal_vector(lam, n: int) -> SparseTensor:

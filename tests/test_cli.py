@@ -1,7 +1,9 @@
 import io
 import json
 
-from jcokernel.cli import RunConfig, cmd_selftest, main
+import pytest
+
+from jcokernel.cli import _build_parser, cmd_selftest, main
 
 
 def run_cli(*argv):
@@ -106,8 +108,8 @@ def test_selftest_fast():
 
 def test_selftest_fault_injection_fails():
     out = io.StringIO()
-    cfg = RunConfig(command="selftest", level="fast", fmt="text")
-    code = cmd_selftest(cfg, out, inject_fault=True)
+    args = _build_parser().parse_args(["selftest"])
+    code = cmd_selftest(args, out, inject_fault=True)
     assert code == 1
     assert "FAIL" in out.getvalue()
 
@@ -143,3 +145,26 @@ def test_nonpositive_watermark_is_a_usage_error():
     code, _ = run_cli("--watermark", "0", "witt", "--n", "2", "--k-max", "2")
     assert code == 2
     assert get_term_limit() == before
+
+
+@pytest.mark.parametrize("family, k", [("[k]", 3), ("[1^k]", 5)])
+def test_detect_rejects_genus_beyond_byte_letters(family, k, capsys):
+    code, text = run_cli("detect", "--family", family, "--k", str(k), "--g", "200")
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == (
+        "error: genus 200 out of range: the 2g letters are bytes, so g <= 127\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("brauer-char", "--k", "2", "--g", "0"),
+        ("brauer-char", "--k", "-1", "--g", "2"),
+        ("witt", "--n", "2", "--k-max", "0"),
+    ],
+)
+def test_empty_ranges_are_usage_errors(argv, capsys):
+    code, text = run_cli(*argv)
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err.startswith("error: ")

@@ -1,0 +1,99 @@
+"""Pinned `cli.main` runs: (exit code, sha256 of stdout, stderr).
+
+Every command is covered in text, json and csv, together with a forced run,
+a precondition failure and watermark trips at several stages of `detect`
+(the seed wedge, the seed tensor product, the `theta_P` fold and the orbit
+sum).  A refactor that is meant to keep every output byte must keep these.
+"""
+
+import hashlib
+import io
+
+import pytest
+
+from jcokernel.cli import main
+
+RERUN = "; raise the limit with set_term_limit() or --watermark and rerun\n"
+
+GOLDEN = [
+    ("witt --n 2 --k-max 6", 0,
+     "c301413a364c5dfa192f2284d7f3301fa22831ac30ae12f6e78ebf8ce9aaefac",
+     ""),
+    ("--format json witt --n 3 --k-max 5", 0,
+     "5695d3b397e2a0763953feee41c2079f8b722ca9f43a174738f0873de0df41a7",
+     ""),
+    ("--format csv witt --n 4 --k-max 4", 0,
+     "17f2b2e9ae859700aafca0024ee67b0e247fc7c2b3786f0c43121a5aa4d80403",
+     ""),
+    ("decompose --source h --k 5 --g 7", 0,
+     "33380e1789da34f93aa3b5cb9fd30411e71173aff2e3ef16946d9a0e069dd671",
+     ""),
+    ("--format json decompose --source cyclic --k 6 --g 8", 0,
+     "5fdafa2063ce16688f3b1fd0f9ec69e56e59078b6b22c8baa1630bc4d2138d09",
+     ""),
+    ("--format csv decompose --source h --k 4 --g 6", 0,
+     "da5f315ab6edbbeac40214bc9ea7213b96ddcae76289709f34f91e4b7dbc27f2",
+     ""),
+    ("detect --family [k] --k 5 --g 7", 0,
+     "c5db1506e08460d5f0e3d0178f748d9352fe5ab0acd997fd136c0fb10ff1c65b",
+     ""),
+    ("--format text detect --family [1^k] --k 5 --g 7", 0,
+     "14e7e20034715d2017a09e95c52290f80e98cfa63bfb30c4a6c0d954c6492fca",
+     ""),
+    ("--format csv detect --family [k] --k 3 --g 6", 0,
+     "a07219c8034027418a28ceae131abc45f7934c63a08fd16fdbfa8763b8a31214",
+     ""),
+    ("detect --family [1^k] --k 4 --g 6 --force", 0,
+     "25fcb663019d4505e940257095f154b54dfbae847c6377da941c32bfe158777d",
+     ""),
+    ("detect --family [1^k] --k 7 --g 9", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: family [1^k] requires k = 1 (mod 4) and k >= 5, got k = 7\n"),
+    ("brauer-char --k 4 --g 3", 0,
+     "dc01f393bd03e9357d613d159c74010382dec490f386801d44b492ca2a7079fd",
+     ""),
+    ("--format json brauer-char --k 3 --g 5", 0,
+     "659871eb8966f3d8e098aba8f468e0a119022f807967a0381d55682aa1dfb983",
+     ""),
+    ("--format text brauer-char --k 2 --g 4", 0,
+     "d710f1877a58b4c26bc198ab945c8231ad075cf43721a400999a58d6169b9fef",
+     ""),
+    ("selftest", 0,
+     "7c7eb277bb3e74619551f66bf983d76c29e06bfd66b55ca337fe574bd4b4be3f",
+     ""),
+    ("--format json --seed 3 selftest --level fast", 0,
+     "7c7eb277bb3e74619551f66bf983d76c29e06bfd66b55ca337fe574bd4b4be3f",
+     ""),
+    ("--format csv selftest --level full", 0,
+     "feb099ea775218525891a5611c82a3d1fe118630ef9779e00ec1233e1bafaf11",
+     ""),
+    ("--watermark 2000 detect --family [1^k] --k 5 --g 7", 3,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: add: live term count 3120 exceeds watermark 2000" + RERUN),
+    ("--watermark 10 detect --family [k] --k 3 --g 5", 3,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: add: live term count 18 exceeds watermark 10" + RERUN),
+    ("--watermark 100 detect --family [k] --k 5 --g 7", 3,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: add: live term count 138 exceeds watermark 100" + RERUN),
+    ("--watermark 10 detect --family [1^k] --k 5 --g 7", 3,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: SparseTensor: live term count 120 exceeds watermark 10" + RERUN),
+    ("--watermark 1000 detect --family [1^k] --k 5 --g 7", 3,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: tensor: live term count 1680 exceeds watermark 1000" + RERUN),
+    ("--watermark 18000 detect --family [1^k] --k 5 --g 7", 3,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: add: live term count 18720 exceeds watermark 18000" + RERUN),
+    ("--watermark 5000 detect --family [k] --k 7 --g 9", 0,
+     "9e824f275b6559035899c2b9e67285e9b1c7f02cd85834f436fe3b59c7eef443",
+     ""),
+]
+
+
+@pytest.mark.parametrize("command, code, digest, stderr", GOLDEN, ids=[row[0] for row in GOLDEN])
+def test_cli_run_is_pinned(command, code, digest, stderr, capsys):
+    out = io.StringIO()
+    assert main(command.split(), out=out) == code
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+    assert capsys.readouterr().err == stderr

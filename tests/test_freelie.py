@@ -105,6 +105,26 @@ def test_theta_stabilizer_brackets_the_tail():
         assert apply_theta_stabilizer(t, k) == expected
 
 
+def test_folds_equal_their_expanded_elements():
+    # The folds never build theta or theta_P; they must act as those elements
+    # do.  The constant word e_1^(x)m folds to zero under both.
+    rng = random.Random(31)
+    for m in range(2, 7):
+        element = theta(m)
+        tensors = [random_tensor(rng, m, 4, nterms=8) for _ in range(3)]
+        tensors.append(SparseTensor.basis_word(4, (1,) * m))
+        assert apply_theta(tensors[-1]).is_zero()
+        for t in tensors:
+            assert apply_theta(t) == act_perm(t, element)
+    for k in range(1, 5):
+        element = theta_stabilizer(k)
+        tensors = [random_tensor(rng, k + 2, 4, nterms=8) for _ in range(3)]
+        tensors.append(SparseTensor.basis_word(4, (2,) + (1,) * (k + 1)))
+        assert apply_theta_stabilizer(tensors[-1], k).is_zero()
+        for t in tensors:
+            assert apply_theta_stabilizer(t, k) == act_perm(t, element)
+
+
 # ---------------------------------------------------------------- brackets
 
 

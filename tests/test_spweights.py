@@ -6,6 +6,7 @@ import pytest
 from jcokernel.brauer import _random_tensor as random_tensor
 from jcokernel.partitions import partitions_of
 from jcokernel.spweights import (
+    common_weight,
     form_compatible,
     gl_raising_operators,
     is_maximal,
@@ -111,6 +112,22 @@ def test_non_maximal_examples():
     assert is_maximal(mixed, "sp") == (False, None)
     with pytest.raises(ValueError):
         is_maximal(SparseTensor.zero(1, 2 * g), "sp")
+
+
+def test_common_weight_per_letter_multiset():
+    g = 5
+    n = 2 * g
+    # Rearranged words and different multisets of one weight: e_1 e_1' and
+    # e_2 e_2' both have weight 0.
+    same = SparseTensor(2, n, {bytes((1, 10)): 1, bytes((10, 1)): -1, bytes((2, 9)): 3})
+    assert common_weight(same, "sp") == (0,) * g
+    assert common_weight(same, "gl") is None
+    # Two weights in one tensor, whatever the order of its words.
+    for words in ([(1, 2), (2, 1), (1, 3)], [(1, 3), (2, 1), (1, 2)]):
+        mixed = SparseTensor(2, n, {bytes(w): 1 for w in words})
+        assert common_weight(mixed, "sp") is None
+        assert common_weight(mixed, "gl") is None
+    assert common_weight(SparseTensor.zero(2, n), "sp") is None
 
 
 def test_wedge_is_maximal_of_column_weight():

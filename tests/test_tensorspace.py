@@ -54,6 +54,20 @@ def test_pairing_values():
         SymplecticSpace(2).pairing(0, 1)
 
 
+def test_genus_and_alphabet_fit_in_byte_letters():
+    assert SymplecticSpace(127).n == 254
+    assert omega(127).support_size() == 254
+    with pytest.raises(ValueError, match="g <= 127"):
+        SymplecticSpace(128)
+    with pytest.raises(ValueError, match="g <= 127"):
+        SparseTensor(1, 256)
+    # The size check comes before the 3! words are built.
+    with pytest.raises(ValueError, match="g <= 127"):
+        wedge(range(1, 4), 256)
+    with pytest.raises(ValueError, match="g <= 127"):
+        wedge((1, 1), 256)
+
+
 def test_dual_examples():
     s = SymplecticSpace(3)
     assert s.dual_basis_vector(1) == (6, 1)
