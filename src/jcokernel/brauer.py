@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import cache
+from math import comb, prod
 
-from .combinatorics import _doubled_partitions, lr_coefficient, sk_character
+from .combinatorics import _doubled_partitions, _matching_expansion, _mn, lr_coefficient
 from .partitions import CycleType, Partition, partitions_of
 from .tensorspace import (
     Coeff,
@@ -401,12 +403,18 @@ def _random_tensor(rng, degree: int, n: int, nterms: int = 5) -> SparseTensor:
     return SparseTensor(degree, n, terms)
 
 
-def _cell_weights(lam: Partition, k: int) -> dict[Partition, int]:
-    """{nu: weight} over nu of k containing lam', where the nonzero weight is
-    the sum over even-row beta of LR^nu_{lam', beta}."""
+def _paired_points(lam: Partition, k: int) -> int:
+    """2j = k - |lam|, the points a cell module of B_k joins in pairs."""
     j2 = k - lam.size
     if j2 < 0 or j2 % 2:
         raise ValueError("|lam| must equal k - 2j")
+    return j2
+
+
+def _cell_weights(lam: Partition, k: int) -> dict[Partition, int]:
+    """{nu: weight} over nu of k containing lam', where the nonzero weight is
+    the sum over even-row beta of LR^nu_{lam', beta}."""
+    j2 = _paired_points(lam, k)
     lam_conj = lam.conjugate()
     # Even-row partitions are the conjugates of the doubled ones.
     betas = [eta.conjugate() for eta in _doubled_partitions(j2)]
@@ -422,15 +430,31 @@ def _cell_weights(lam: Partition, k: int) -> dict[Partition, int]:
 def ram_character(lam, cls, g: int) -> int:
     """Character of the Brauer cell module for lam at a permutation class.
 
-    Evaluates sum over nu containing lam' of (sum over even beta of
-    LR^nu_{lam', beta}) chi^nu(cls); the class acts through the twisted
-    embedding of S_k in B_k(-2g).
+    The class acts through the twisted embedding of S_k in B_k(-2g).  By Ram
+    (1995) the character is <s_{lam'} prod_{i<=j} (1 - x_i x_j)^-1, p_cls>,
+    and the product is exp(sum_m (p_m^2 + p_2m)/(2m)) in power sums.  So it
+    is a sum over the sub-multisets tau of cls with |tau| = k - |lam|: the
+    ways to pick tau, times the perfect matchings fixed by a permutation of
+    type tau, times chi^{lam'}(cls \\ tau).
     """
     lam, cls = Partition(lam), CycleType(cls)
     if lam.length > g:
         raise ValueError(f"length of lambda exceeds g={g}")
-    weights = _cell_weights(lam, cls.size)
-    return sum(weight * sk_character(nu, cls) for nu, weight in weights.items())
+    j2 = _paired_points(lam, cls.size)
+    lam_conj = lam.conjugate()
+    counts = Counter(cls).items()
+    total = 0
+    for tau in itertools.product(*(range(a + 1) for _, a in counts)):
+        if sum(m * b for (m, _), b in zip(counts, tau)) != j2:
+            continue
+        weight = prod(
+            comb(a, b) * _matching_expansion(m, b, 1).get(0, 0)
+            for (m, a), b in zip(counts, tau)
+        )
+        if weight:
+            rest = tuple(m for (m, a), b in zip(counts, tau) for _ in range(a - b))
+            total += weight * _mn(lam_conj, rest)
+    return total
 
 
 def restriction_multiset(lam, k: int) -> dict[Partition, int]:

@@ -9,12 +9,21 @@ major index is congruent to j mod k.  Those counts come from the q-hook
 formula for the major-index generating function (Stanley, EC2 Cor. 7.21.5)
 reduced mod q^k - 1, so no tableau is built; enumerating standard tableaux
 is kept as the test oracle.
+
+Sp(2g) multiplicities of the named modules come from one power-sum core:
+each module's Frobenius character has a handful of power-sum terms, and
+Littlewood's stable-range rule pairs D^perp of it with Schur functions
+through Murnaghan-Nakayama.  Littlewood-Richardson coefficients and GL to Sp
+branching remain public, and the tests use them as the oracle.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
+from fractions import Fraction
 from functools import cache
-from math import comb
+from math import comb, gcd
 
 from .partitions import (
     CycleType,
@@ -256,6 +265,8 @@ def sk_character(nu, cls) -> int:
 def _mn(nu: Partition, parts: tuple[int, ...]) -> int:
     if not parts:
         return 1
+    if max(parts) == 1:
+        return syt_count(nu)  # chi^nu at the identity is f^nu
     t, rest = parts[0], parts[1:]
     length = nu.length
     beta = [nu[i] + length - 1 - i for i in range(length)]
@@ -267,9 +278,10 @@ def _mn(nu: Partition, parts: tuple[int, ...]) -> int:
             continue
         height = sum(1 for c in beta if nb < c < b)
         new_beta = sorted((beta_set - {b}) | {nb}, reverse=True)
-        mu = Partition(
+        # A beta-set always reads back as a partition: skip the validation.
+        mu = tuple.__new__(Partition, [
             v - (length - 1 - i) for i, v in enumerate(new_beta) if v - (length - 1 - i) > 0
-        )
+        ])
         total += (-1) ** height * _mn(mu, rest)
     return total
 
@@ -321,17 +333,107 @@ def mult_gl_in_h(lam, g: int) -> int:
 
 SOURCES = ("h", "cyclic", "tensor_power")
 
+# A power-sum polynomial is a dict {cycle type: Fraction}; a cycle type is a
+# plain tuple of parts in decreasing order, read as the monomial prod_i p_{rho_i}.
 
-def _gl_module_multiplicities(source: str, k: int, g: int) -> dict[Partition, int]:
-    n = 2 * g
+
+def _lie_character(n: int) -> dict[tuple[int, ...], Fraction]:
+    """Frobenius character of the degree-n free Lie part:
+    L_n = (1/n) sum over d | n of mu(d) p_d^(n/d)."""
+    return {
+        (d,) * (n // d): Fraction(_mobius(d), n)
+        for d in range(1, n + 1)
+        if n % d == 0 and _mobius(d)
+    }
+
+
+def _frobenius_character(source: str, k: int) -> dict[tuple[int, ...], Fraction]:
+    """Frobenius character of a named GL-module, in power sums."""
     if source == "h":
-        shapes = partitions_of(k + 2, max_length=n)
-        return {lam: mult_gl_in_h(lam, g) for lam in shapes}
+        # h(k) is the kernel of the onto bracket H (x) L_{k+1} -> L_{k+2}.
+        out = {(*rho, 1): c for rho, c in _lie_character(k + 1).items()}
+        for rho, c in _lie_character(k + 2).items():
+            out[rho] = out.get(rho, 0) - c
+        return out
     if source == "cyclic":
-        return {lam: kw_multiplicity(lam, 0) for lam in partitions_of(k, max_length=n)}
-    if source == "tensor_power":
-        return {lam: syt_count(lam) for lam in partitions_of(k, max_length=n)}
-    raise ValueError(f"unknown source {source!r}; expected one of {SOURCES}")
+        # Coinvariants of the rotation C_k acting on H^(x)k.
+        return {
+            (d,) * (k // d): Fraction(_totient(d), k)
+            for d in range(1, k + 1)
+            if k % d == 0
+        }
+    return {(1,) * k: Fraction(1)}
+
+
+def _totient(n: int) -> int:
+    return sum(1 for x in range(1, n + 1) if gcd(x, n) == 1)
+
+
+@cache
+def _matching_expansion(m: int, a: int, sign: int) -> dict[int, int]:
+    """Partial matchings of a factors p_m, as {unmatched count e: weight}.
+
+    A matching takes i pairs (weight m each) and, when m is even, j singletons
+    (weight `sign` each): C(a, 2i) (2i-1)!! m^i C(a-2i, j) sign^j ways.  With
+    sign -1 this is exp((m/2) d^2/dp_m^2 - [m even] d/dp_m) applied to p_m^a;
+    with sign +1, entry 0 counts the perfect matchings of a m-cycles' points
+    fixed by the permutation.
+    """
+    out: dict[int, int] = {}
+    for i in range(a // 2 + 1):
+        pairs = comb(a, 2 * i) * double_factorial_odd(i) * m**i
+        for j in range(a - 2 * i + 1 if m % 2 == 0 else 1):
+            e = a - 2 * i - j
+            out[e] = out.get(e, 0) + pairs * comb(a - 2 * i, j) * sign**j
+    return out
+
+
+@cache
+def _sp_character(source: str, k: int) -> dict[int, dict[tuple[int, ...], Fraction]]:
+    """D^perp of the module's Frobenius character, grouped by degree.
+
+    Littlewood's stable-range rule (Macdonald, Symmetric Functions, I.5 Ex. 5;
+    Koike-Terada 1987): the Sp(2g) multiplicity of mu in a GL(2g)-module with
+    character F is <D^perp F, s_mu> for g >= k+2, where
+    D = sum over eta with even columns of s_eta = exp(sum_n (p_n^2 - p_2n)/(2n)).
+    Its adjoint exp(sum_n (n/2) d^2/dp_n^2 - d/dp_2n) factors over the p_m.
+    Each factor lowers the degree by a multiple of m, so the whole exponential
+    is applied before the terms are grouped by degree.
+    """
+    reduced: dict[tuple[int, ...], Fraction] = {}
+    for rho, c in _frobenius_character(source, k).items():
+        parts = Counter(rho)
+        factors = [_matching_expansion(m, a, -1).items() for m, a in parts.items()]
+        for choice in itertools.product(*factors):
+            coeff = c
+            sigma: list[int] = []
+            for m, (e, n) in zip(parts, choice):
+                coeff *= n
+                sigma += [m] * e
+            key = tuple(sorted(sigma, reverse=True))
+            reduced[key] = reduced.get(key, 0) + coeff
+    by_degree: dict[int, dict[tuple[int, ...], Fraction]] = {}
+    for sigma, c in reduced.items():
+        if c:
+            by_degree.setdefault(sum(sigma), {})[sigma] = c
+    return by_degree
+
+
+def _pair(mu: Partition, terms: dict[tuple[int, ...], Fraction]) -> int:
+    """<sum_sigma c_sigma p_sigma, s_mu> = sum_sigma c_sigma chi^mu(sigma)."""
+    total = sum(c * _mn(mu, sigma) for sigma, c in terms.items())
+    assert total.denominator == 1, f"non-integral multiplicity {total} for {mu}"
+    return int(total)
+
+
+def _check_module(source: str, k: int, g: int) -> None:
+    if source not in SOURCES:
+        raise ValueError(f"unknown source {source!r}; expected one of {SOURCES}")
+    least = 0 if source == "tensor_power" else 1
+    if k < least:
+        raise ValueError(f"k must be at least {least} for source {source!r}, got k = {k}")
+    if g < k + 2:
+        raise ValueError(f"stable range requires g >= {k + 2}, got {g}")
 
 
 def mult_sp_in_module(mubar, source: str, k: int, g: int) -> int:
@@ -342,26 +444,22 @@ def mult_sp_in_module(mubar, source: str, k: int, g: int) -> int:
     stable range g >= k+2.
     """
     mubar = Partition(mubar)
-    if g < k + 2:
-        raise ValueError(f"stable range requires g >= {k + 2}, got {g}")
-    total = 0
-    for lam, mult in _gl_module_multiplicities(source, k, g).items():
-        if mult:
-            total += branching_coefficient(lam, mubar, g) * mult
-    return total
+    _check_module(source, k, g)
+    terms = _sp_character(source, k).get(mubar.size)
+    return _pair(mubar, terms) if terms else 0
 
 
 def sp_decomposition(source: str, k: int, g: int) -> dict[Partition, int]:
     """Full Sp(2g) decomposition of a named module, sorted by partition."""
-    if g < k + 2:
-        raise ValueError(f"stable range requires g >= {k + 2}, got {g}")
+    _check_module(source, k, g)
     result: dict[Partition, int] = {}
-    for lam, mult in _gl_module_multiplicities(source, k, g).items():
-        if not mult:
-            continue
-        for mubar, n in gl_to_sp_branching(lam, g).items():
-            result[mubar] = result.get(mubar, 0) + n * mult
-    return dict(sorted(((m, c) for m, c in result.items() if c), reverse=True))
+    # Every degree is at most k+2 <= g, so no partition is too long for Sp(2g).
+    for degree, terms in _sp_character(source, k).items():
+        for mubar in partitions_of(degree):
+            mult = _pair(mubar, terms)
+            if mult:
+                result[mubar] = mult
+    return dict(sorted(result.items(), reverse=True))
 
 
 def double_factorial_odd(j: int) -> int:

@@ -196,12 +196,6 @@ class StandardTableau:
         self.rows = rows
         self.shape = shape
 
-    def row_of(self, value: int) -> int:
-        for r, row in enumerate(self.rows):
-            if value in row:
-                return r
-        raise ValueError(f"{value} not in tableau")
-
     @property
     def descents(self) -> list[int]:
         """Entries i such that i+1 sits in a strictly lower row."""

@@ -213,6 +213,21 @@ class _Combination:
     def __hash__(self):
         return hash((*self._shape, frozenset(self._terms.items())))
 
+    def to_json_dict(self) -> dict:
+        """JSON layout of a word-keyed combination (degree, alphabet) over the
+        2g letters of a symplectic space; terms sorted by word."""
+        degree, n = self._shape
+        if n % 2:
+            raise ValueError("serialization is defined for symplectic tensors")
+        return {
+            "degree": degree,
+            "g": n // 2,
+            "terms": [
+                {"word": list(word), "coeff": rat_str(coeff)}
+                for word, coeff in self.terms()
+            ],
+        }
+
 
 def _check_alphabet(degree: int, n: int) -> None:
     if degree < 0:
@@ -273,18 +288,6 @@ class SparseTensor(_Combination):
                 out[w1 + w2] = c1 * c2
         _note_terms(len(out), "tensor")
         return SparseTensor._raw((self.degree + other.degree, self.n), out)
-
-    def to_json_dict(self) -> dict:
-        if self.n % 2:
-            raise ValueError("serialization is defined for symplectic tensors")
-        return {
-            "degree": self.degree,
-            "g": self.n // 2,
-            "terms": [
-                {"word": list(word), "coeff": rat_str(coeff)}
-                for word, coeff in self.terms()
-            ],
-        }
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
@@ -556,15 +559,6 @@ class CyclicVector(_Combination):
             elif ratio != r:
                 return None
         return ratio
-
-    def to_json_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "g": self.n // 2,
-            "terms": [
-                {"word": list(w), "coeff": rat_str(c)} for w, c in self.terms()
-            ],
-        }
 
     def __repr__(self):
         return f"CyclicVector(deg={self.degree}, n={self.n}, {len(self._terms)} orbits)"

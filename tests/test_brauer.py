@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from jcokernel.brauer import (
     BrauerDiagram,
     BrauerElement,
+    _cell_weights,
     _random_tensor as random_tensor,
     _relation_pairs,
     act_twisted,
@@ -199,6 +201,26 @@ def test_ram_character_top_layer_reduces_to_symmetric_group():
                 assert ram_character(lam, cls, k + 2) == sk_character(
                     lam.conjugate(), cls
                 )
+
+
+def test_ram_character_matches_lr_cell_weights():
+    # The Littlewood-Richardson form: sum over nu of (sum over even-row beta of
+    # LR^nu_{lam', beta}) chi^nu(cls).
+    for k in range(0, 9):
+        for j in range(0, k // 2 + 1):
+            for lam in partitions_of(k - 2 * j):
+                weights = _cell_weights(lam, k)
+                for cls in partitions_of(k):
+                    expected = sum(w * sk_character(nu, cls) for nu, w in weights.items())
+                    assert ram_character(lam, cls, k + 2) == expected
+
+
+def test_ram_character_checks_its_arguments():
+    with pytest.raises(ValueError, match="length of lambda exceeds g=2"):
+        ram_character((1, 1, 1), (1, 1, 1), 2)
+    for lam in ((1,), (3,)):
+        with pytest.raises(ValueError, match=re.escape("|lam| must equal k - 2j")):
+            ram_character(lam, (1, 1), 4)
 
 
 def test_ram_character_of_invariant_pair():

@@ -168,3 +168,13 @@ def test_empty_ranges_are_usage_errors(argv, capsys):
     code, text = run_cli(*argv)
     assert code == 2 and text == ""
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("source", ["h", "cyclic"])
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_decompose_degree_below_one_is_usage_error(source, k, capsys):
+    code, text = run_cli("decompose", "--source", source, "--k", k, "--g", "3")
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == (
+        f"error: k must be at least 1 for source '{source}', got k = {k}\n"
+    )

@@ -1,10 +1,12 @@
 import itertools
+import re
 from collections import Counter
 from math import factorial, gcd
 
 import pytest
 
 from jcokernel.combinatorics import (
+    SOURCES,
     _maj_residues,
     brauer_dim,
     branching_coefficient,
@@ -73,6 +75,35 @@ def lr_oracle(outer, inner, weight) -> int:
                 break
         count += ok
     return count
+
+
+def gl_module_multiplicities(source: str, k: int, g: int) -> dict[Partition, int]:
+    """GL(2g) multiplicities of a named module, from major-index residues."""
+    n = 2 * g
+    if source == "h":
+        return {lam: mult_gl_in_h(lam, g) for lam in partitions_of(k + 2, max_length=n)}
+    if source == "cyclic":
+        return {lam: kw_multiplicity(lam, 0) for lam in partitions_of(k, max_length=n)}
+    return {lam: syt_count(lam) for lam in partitions_of(k, max_length=n)}
+
+
+def sp_decomposition_oracle(source: str, k: int, g: int) -> dict[Partition, int]:
+    """GL multiplicities restricted to Sp(2g) by Littlewood-Richardson branching."""
+    result: dict[Partition, int] = {}
+    for lam, mult in gl_module_multiplicities(source, k, g).items():
+        if not mult:
+            continue
+        for mubar, n in gl_to_sp_branching(lam, g).items():
+            result[mubar] = result.get(mubar, 0) + n * mult
+    return dict(sorted(((m, c) for m, c in result.items() if c), reverse=True))
+
+
+def mult_sp_oracle(mubar, source: str, k: int, g: int) -> int:
+    return sum(
+        branching_coefficient(lam, mubar, g) * mult
+        for lam, mult in gl_module_multiplicities(source, k, g).items()
+        if mult
+    )
 
 
 def class_size(cls: CycleType) -> int:
@@ -350,6 +381,64 @@ def test_mult_sp_in_tensor_power_matches_brauer_dim():
 def test_mult_sp_rejects_unstable_range():
     with pytest.raises(ValueError):
         mult_sp_in_module((3,), "h", 3, 4)
+
+
+def test_power_sum_core_matches_lr_oracle():
+    # Same entries in the same order, so the CLI bytes cannot move.
+    cases = [(s, k) for s in ("h", "cyclic") for k in range(1, 11)]
+    cases += [("tensor_power", k) for k in range(1, 8)]
+    for source, k in cases:
+        for g in (k + 2, k + 3) if k <= 5 else (k + 2,):
+            got = sp_decomposition(source, k, g)
+            assert list(got.items()) == list(sp_decomposition_oracle(source, k, g).items())
+            assert all(type(m) is int for m in got.values())
+
+
+def test_mult_sp_in_module_matches_decomposition_and_oracle():
+    for source in SOURCES:
+        for k in range(1, 7):
+            g = k + 2
+            table = sp_decomposition(source, k, g)
+            for size in range(k + 3):
+                for mubar in partitions_of(size, max_length=g):
+                    mult = mult_sp_in_module(mubar, source, k, g)
+                    assert mult == table.get(mubar, 0)
+                    if k <= 4:
+                        assert mult == mult_sp_oracle(mubar, source, k, g)
+    # Larger than the module's degree: no component.
+    assert mult_sp_in_module((1,) * 8, "h", 5, 7) == 0
+
+
+def test_sp_decomposition_dimension_beyond_the_lr_reach():
+    # sum_mu mult(mu) dim V_mu = dim h(k) = 2g witt(2g, k+1) - witt(2g, k+2);
+    # the right side uses neither the power-sum core nor branching.
+    for k in range(11, 15):
+        g = k + 2
+        total = sum(
+            mult * sp_dimension(mubar, g)
+            for mubar, mult in sp_decomposition("h", k, g).items()
+        )
+        assert total == 2 * g * witt_rank(2 * g, k + 1) - witt_rank(2 * g, k + 2)
+
+
+def test_module_arguments_are_checked():
+    for source in ("h", "cyclic"):
+        for k in (0, -1):
+            message = f"k must be at least 1 for source {source!r}, got k = {k}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                sp_decomposition(source, k, 3)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                mult_sp_in_module((), source, k, 3)
+    with pytest.raises(ValueError, match="got k = -1"):
+        sp_decomposition("tensor_power", -1, 3)
+    assert sp_decomposition("tensor_power", 0, 2) == {Partition(()): 1}
+    assert mult_sp_in_module((), "tensor_power", 0, 2) == 1
+    with pytest.raises(ValueError, match="unknown source 'free'"):
+        sp_decomposition("free", 3, 5)
+    with pytest.raises(ValueError, match="unknown source 'free'"):
+        mult_sp_in_module((3,), "free", 3, 5)
+    with pytest.raises(ValueError, match="stable range requires g >= 5, got 4"):
+        sp_decomposition("cyclic", 3, 4)
 
 
 def test_sp_decomposition_of_h_small_table():

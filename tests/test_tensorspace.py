@@ -404,6 +404,20 @@ def test_serialization_round_trip_and_ordering():
     assert rat_str(Fraction(-3, 2)) == "-3/2" and rat_str(4) == "4/1"
 
 
+def test_serialization_is_shared_and_refuses_odd_alphabets():
+    t = SparseTensor(3, 4, {b"\x02\x01\x03": Fraction(1, 2), b"\x01\x01\x04": -3})
+    projected = cyclic_project(t).to_json_dict()
+    assert projected["degree"] == 3 and projected["g"] == 2
+    assert projected["terms"] == [
+        {"word": [1, 1, 4], "coeff": "-3/1"},
+        {"word": [1, 3, 2], "coeff": "1/2"},
+    ]
+    odd = SparseTensor(2, 3, {b"\x03\x01": 1})
+    for vector in (odd, cyclic_project(odd)):
+        with pytest.raises(ValueError, match="symplectic tensors"):
+            vector.to_json_dict()
+
+
 def test_term_watermark_enforced_and_resumable():
     old = get_term_limit()
     try:
