@@ -2,9 +2,18 @@
 
 Diagrams are perfect matchings on k top and k bottom points; composition
 stacks two diagrams, removes interior loops, and each loop contributes one
-factor of the parameter delta = -2g.  The action on H^(x)k is the sign
-twisted one: the subalgebra generated by the s_i acts as sgn(sigma) times
-the ordinary place permutation.
+factor of the parameter delta = -2g.
+
+The action on H^(x)k is the sign twisted right action, read straight off a
+diagram.  The tensor enters at the top row and leaves at the bottom: a top
+pair a < b (a cup) multiplies by <w_a, w_b>, a bottom pair p < q (a cap)
+inserts omega = sum_r e_r (x) e_r* at slots p, q, and a through strand from
+top a to bottom p puts w_a at p.  The image is multiplied by
+(-1)^(crossings + caps), where two edges cross when their ends interleave in
+boundary order: the top row left to right, then the bottom row right to
+left.  So a permutation acts as sgn(sigma) times the ordinary place
+permutation, and each s_i as minus the adjacent swap.  Every action costs
+time linear in the terms it touches and writes.
 """
 
 from __future__ import annotations
@@ -14,15 +23,14 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from math import comb, prod
+from math import comb, factorial, prod
 
-from .combinatorics import _doubled_partitions, _matching_expansion, _mn, lr_coefficient
+from .combinatorics import _matching_expansion, _mn, _pair
 from .partitions import CycleType, Partition, partitions_of
 from .tensorspace import (
     Coeff,
     PermAlgebraElement,
     SparseTensor,
-    SymplecticSpace,
     _Combination,
     _accumulate,
     _dual_letters,
@@ -46,13 +54,6 @@ class BrauerDiagram:
             raise ValueError(f"edges must perfectly match 0..{2 * k - 1}")
         self.k = k
         self.edges = canonical
-
-    @classmethod
-    def _raw(cls, k: int, canonical_edges) -> "BrauerDiagram":
-        self = object.__new__(cls)
-        self.k = k
-        self.edges = canonical_edges
-        return self
 
     @classmethod
     def identity(cls, k: int) -> "BrauerDiagram":
@@ -230,85 +231,65 @@ class BrauerElement(_Combination):
         return f"BrauerElement(k={self.k}, delta={self.delta}, {len(self._terms)} diagrams)"
 
 
-# Twisted right action on H^(x)k.  Generators: s_j acts as minus the adjacent
-# swap; gamma_j pairs out slots j, j+1 and inserts minus the invariant
-# 2-tensor in their place.
-
-
-def _act_s(tensor: SparseTensor, j: int) -> SparseTensor:
-    return act_perm(tensor, _minus_swap(tensor.degree, j))
-
-
-# Cached: _act_s runs once per generator of a diagram word, mostly on small
-# tensors, where building the element would cost as much as acting with it.
 @cache
-def _minus_swap(k: int, j: int) -> PermAlgebraElement:
-    return PermAlgebraElement.transposition(k, j) * -1
+def _plan(diagram: BrauerDiagram) -> tuple[int, tuple, tuple, tuple]:
+    """(sign, cups, through strands, caps) of a diagram, in 0-based slots.
 
-
-def _act_gamma(tensor: SparseTensor, j: int) -> SparseTensor:
-    space = SymplecticSpace(tensor.n // 2)
-    letters = _dual_letters(tensor.n)
-
-    def images():
-        for word, coeff in tensor._terms.items():
-            value = space.pairing(word[j - 1], word[j])
-            if not value:
-                continue
-            prefix, suffix = word[: j - 1], word[j + 1 :]
-            for r, rdual, sign in letters:
-                yield prefix + r + rdual + suffix, -coeff * value * sign
-
-    return SparseTensor._raw(tensor._shape, _accumulate({}, images(), "act_gamma"))
-
-
-def act_twisted_generator(tensor: SparseTensor, kind: str, i: int) -> SparseTensor:
-    if kind == "s":
-        return _act_s(tensor, i)
-    if kind == "gamma":
-        return _act_gamma(tensor, i)
-    raise ValueError(f"unknown generator kind {kind!r}")
-
-
-@cache
-def _generator_words(k: int) -> dict[BrauerDiagram, tuple[tuple, int]]:
-    """BFS expression of every diagram as a generator word and a loop exponent.
-
-    The product of the word's generator diagrams equals delta^exponent times
-    the diagram, independently of delta.
+    Cups are top pairs (a, b), caps bottom pairs (p, q), both with the smaller
+    slot first, and a through strand (a, p) runs from top a to bottom p.
     """
-    identity = BrauerDiagram.identity(k)
-    generators = [("s", i, BrauerDiagram.s(k, i)) for i in range(1, k)] + [
-        ("gamma", i, BrauerDiagram.gamma(k, i)) for i in range(1, k)
-    ]
-    table: dict[BrauerDiagram, tuple[tuple, int]] = {identity: ((), 0)}
-    frontier = [identity]
-    while frontier:
-        next_frontier = []
-        for diagram in frontier:
-            word, exponent = table[diagram]
-            for kind, i, gen in generators:
-                product, loops = compose_diagrams(diagram, gen)
-                if product not in table:
-                    table[product] = (word + ((kind, i),), exponent + loops)
-                    next_frontier.append(product)
-        frontier = next_frontier
-    assert len(table) == len(all_diagrams(k))
-    return table
+    k = diagram.k
+
+    def place(v: int) -> int:  # boundary order: top left to right, bottom right to left
+        return v if v < k else 3 * k - 1 - v
+
+    chords = [sorted(map(place, edge)) for edge in diagram.edges]
+    crossings = sum(
+        (a < c < b) != (a < d < b) for (a, b), (c, d) in itertools.combinations(chords, 2)
+    )
+    cups = tuple((a, b) for a, b in diagram.edges if b < k)
+    through = tuple((a, b - k) for a, b in diagram.edges if a < k <= b)
+    caps = tuple((a - k, b - k) for a, b in diagram.edges if a >= k)
+    return (-1) ** (crossings + len(caps)), cups, through, caps
+
+
+@cache
+def _letter_pairs(n: int) -> tuple[tuple[int, int, int], ...]:
+    """(r, r', sign) with e_r* = sign e_r', so that omega = sum_r e_r (x) e_r*."""
+    return tuple((r[0], rdual[0], sign) for r, rdual, sign in _dual_letters(n))
+
+
+def _images(tensor: SparseTensor, diagram: BrauerDiagram, scale: Coeff):
+    """(word, coeff) pairs of scale times the tensor acted on by one diagram."""
+    sign, cups, through, caps = _plan(diagram)
+    n = tensor.n
+    if caps and n % 2:
+        raise ValueError(f"cups and caps pair letters symplectically, so n must be even; got n={n}")
+    pairs = _letter_pairs(n) if caps else ()
+    scale *= sign
+    out = [0] * diagram.k
+    for word, coeff in tensor._terms.items():
+        for a, b in cups:
+            if word[a] + word[b] != n + 1:
+                break  # <w_a, w_b> = 0
+            if 2 * word[a] > n:
+                coeff = -coeff
+        else:
+            coeff *= scale
+            for a, p in through:
+                out[p] = word[a]
+            # Cap letters are filled lazily: there are n^caps of them per word.
+            for fill in itertools.product(pairs, repeat=len(caps)):
+                fill_sign = 1
+                for (p, q), (r, rdual, s) in zip(caps, fill):
+                    out[p], out[q] = r, rdual
+                    fill_sign *= s
+                yield bytes(out), coeff if fill_sign > 0 else -coeff
 
 
 def act_twisted_diagram(tensor: SparseTensor, diagram: BrauerDiagram) -> SparseTensor:
-    """Right action of a single diagram, via a generator decomposition."""
-    if tensor.degree != diagram.k:
-        raise ValueError("degree mismatch")
-    word, exponent = _generator_words(diagram.k)[diagram]
-    result = tensor
-    for kind, i in word:
-        result = act_twisted_generator(result, kind, i)
-    if exponent:
-        delta = Fraction(-tensor.n)
-        result = result * (Fraction(1) / delta**exponent)
-    return result
+    """Right action of a single diagram."""
+    return act_twisted(tensor, BrauerElement.from_diagram(diagram, -tensor.n))
 
 
 def act_twisted(tensor: SparseTensor, element: BrauerElement) -> SparseTensor:
@@ -319,10 +300,10 @@ def act_twisted(tensor: SparseTensor, element: BrauerElement) -> SparseTensor:
         raise ValueError(
             f"parameter mismatch: element has delta={element.delta}, space wants {-tensor.n}"
         )
-    total = SparseTensor.zero(tensor.degree, tensor.n)
-    for diagram, coeff in element._terms.items():
-        total = total + coeff * act_twisted_diagram(tensor, diagram)
-    return total
+    images = itertools.chain.from_iterable(
+        _images(tensor, diagram, coeff) for diagram, coeff in element._terms.items()
+    )
+    return SparseTensor._raw(tensor._shape, _accumulate({}, images, "act_twisted"))
 
 
 @cache
@@ -411,22 +392,6 @@ def _paired_points(lam: Partition, k: int) -> int:
     return j2
 
 
-def _cell_weights(lam: Partition, k: int) -> dict[Partition, int]:
-    """{nu: weight} over nu of k containing lam', where the nonzero weight is
-    the sum over even-row beta of LR^nu_{lam', beta}."""
-    j2 = _paired_points(lam, k)
-    lam_conj = lam.conjugate()
-    # Even-row partitions are the conjugates of the doubled ones.
-    betas = [eta.conjugate() for eta in _doubled_partitions(j2)]
-    out: dict[Partition, int] = {}
-    for nu in partitions_of(k):
-        if nu.contains(lam_conj):
-            weight = sum(lr_coefficient(nu, lam_conj, beta) for beta in betas)
-            if weight:
-                out[nu] = weight
-    return out
-
-
 def ram_character(lam, cls, g: int) -> int:
     """Character of the Brauer cell module for lam at a permutation class.
 
@@ -462,9 +427,25 @@ def restriction_multiset(lam, k: int) -> dict[Partition, int]:
 
     Returns {nu': multiplicity}; the conjugation records the sign twist
     between the Brauer embedding of S_k and the place-permutation action.
+    The multiplicity of nu is <ram_character(lam, .), chi^nu>, the sum over
+    classes rho of ram_character(lam, rho) chi^nu(rho) / z_rho.  Ram's value
+    does not depend on g, and once |lam| <= k is checked, g = k always passes
+    its length check.
     """
-    weights = _cell_weights(Partition(lam), k)
-    return dict(sorted(((nu.conjugate(), w) for nu, w in weights.items()), reverse=True))
+    lam = Partition(lam)
+    _paired_points(lam, k)
+    character = {
+        tuple(rho): Fraction(ram_character(lam, rho, k), _centralizer(rho))
+        for rho in partitions_of(k)
+    }
+    table = ((nu.conjugate(), _pair(nu, character)) for nu in partitions_of(k))
+    return dict(sorted(((nu, m) for nu, m in table if m), reverse=True))
+
+
+def _centralizer(rho) -> int:
+    """z_rho = prod_m m^a_m a_m!, the order of the centralizer of a permutation
+    of cycle type rho, where rho has a_m parts m."""
+    return prod(m**a * factorial(a) for m, a in Counter(rho).items())
 
 
 def _rank(vectors: list[SparseTensor]) -> int:

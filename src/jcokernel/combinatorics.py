@@ -5,10 +5,10 @@ All functions are pure and return exact integers.  The cyclic-restriction
 multiplicities follow the Kraskiewicz-Weyman description: the multiplicity of
 the j-th character of the cyclic group C_k in the restriction of the Specht
 module S^lambda equals the number of standard tableaux of shape lambda whose
-major index is congruent to j mod k.  Those counts come from the q-hook
-formula for the major-index generating function (Stanley, EC2 Cor. 7.21.5)
-reduced mod q^k - 1, so no tableau is built; enumerating standard tableaux
-is kept as the test oracle.
+major index is congruent to j mod k.  That count is the pairing of s_lambda
+with the induced character (1/k) sum over e | k of c_e(j) p_e^(k/e), where
+c_e(j) is a Ramanujan sum, evaluated through Murnaghan-Nakayama; no tableau
+is built, and enumerating standard tableaux is kept as the test oracle.
 
 Sp(2g) multiplicities of the named modules come from one power-sum core:
 each module's Frobenius character has a handful of power-sum terms, and
@@ -60,32 +60,6 @@ def witt_rank(n: int, k: int) -> int:
     return total // k
 
 
-@cache
-def _maj_residues(shape: Partition) -> tuple[int, ...]:
-    """Histogram of major indices mod |shape| over all standard tableaux.
-
-    By the q-hook formula (Stanley, EC2 Cor. 7.21.5),
-    sum_T q^maj(T) = q^b [n]_q! / prod_u [h(u)]_q with b = sum_i (i-1) lam_i.
-    Cancelling the n factors (1 - q) leaves prod_i (1 - q^i) / prod_u (1 - q^h(u)),
-    which is computed with exact integer coefficients and folded mod q^n - 1.
-    """
-    n = shape.size
-    coeffs = [1] + [0] * (n * (n + 1) // 2)
-    for i in range(1, n + 1):
-        for j in range(len(coeffs) - 1, i - 1, -1):
-            coeffs[j] -= coeffs[j - i]
-    for row in shape.hook_lengths():
-        for hook in row:
-            for j in range(hook, len(coeffs)):
-                coeffs[j] += coeffs[j - hook]
-    shift = sum(i * part for i, part in enumerate(shape))
-    counts = [0] * n
-    for j, c in enumerate(coeffs):
-        counts[(j + shift) % n] += c
-    assert sum(counts) == syt_count(shape), f"inexact q-hook division for {shape}"
-    return tuple(counts)
-
-
 def kw_multiplicity(shape, j: int) -> int:
     """Number of standard tableaux of the given shape with maj = j mod k.
 
@@ -96,7 +70,7 @@ def kw_multiplicity(shape, j: int) -> int:
     k = shape.size
     if k < 1:
         raise ValueError("shape must be nonempty")
-    return _maj_residues(shape)[j % k]
+    return _pair(shape, _cyclic_character(k, j % k))
 
 
 def lr_coefficient(outer, inner, weight) -> int:
@@ -337,36 +311,36 @@ SOURCES = ("h", "cyclic", "tensor_power")
 # plain tuple of parts in decreasing order, read as the monomial prod_i p_{rho_i}.
 
 
-def _lie_character(n: int) -> dict[tuple[int, ...], Fraction]:
-    """Frobenius character of the degree-n free Lie part:
-    L_n = (1/n) sum over d | n of mu(d) p_d^(n/d)."""
-    return {
-        (d,) * (n // d): Fraction(_mobius(d), n)
-        for d in range(1, n + 1)
-        if n % d == 0 and _mobius(d)
-    }
+@cache
+def _cyclic_character(k: int, j: int) -> dict[tuple[int, ...], Fraction]:
+    """Frobenius character of the j-th character of C_k induced to S_k.
+
+    Its value (1/k) sum over t of zeta^(-jt) p_(type of c^t) collects the
+    rotations c^t of each order e | k, of type (e)^(k/e), into the Ramanujan
+    sum c_e(j) = sum over d | gcd(e, j) of mu(e/d) d.  So j = 0 gives phi(e)
+    (the rotation coinvariants) and j = 1 gives mu(e) (the free Lie part L_k).
+    """
+    out = {}
+    for e in range(1, k + 1):
+        if k % e == 0:
+            c = sum(_mobius(e // d) * d for d in range(1, e + 1) if gcd(e, j) % d == 0)
+            if c:
+                out[(e,) * (k // e)] = Fraction(c, k)
+    return out
 
 
 def _frobenius_character(source: str, k: int) -> dict[tuple[int, ...], Fraction]:
     """Frobenius character of a named GL-module, in power sums."""
     if source == "h":
         # h(k) is the kernel of the onto bracket H (x) L_{k+1} -> L_{k+2}.
-        out = {(*rho, 1): c for rho, c in _lie_character(k + 1).items()}
-        for rho, c in _lie_character(k + 2).items():
+        out = {(*rho, 1): c for rho, c in _cyclic_character(k + 1, 1).items()}
+        for rho, c in _cyclic_character(k + 2, 1).items():
             out[rho] = out.get(rho, 0) - c
         return out
     if source == "cyclic":
         # Coinvariants of the rotation C_k acting on H^(x)k.
-        return {
-            (d,) * (k // d): Fraction(_totient(d), k)
-            for d in range(1, k + 1)
-            if k % d == 0
-        }
+        return _cyclic_character(k, 0)
     return {(1,) * k: Fraction(1)}
-
-
-def _totient(n: int) -> int:
-    return sum(1 for x in range(1, n + 1) if gcd(x, n) == 1)
 
 
 @cache

@@ -2,13 +2,13 @@ import itertools
 import random
 import re
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
 from jcokernel.brauer import (
     BrauerDiagram,
     BrauerElement,
-    _cell_weights,
     _random_tensor as random_tensor,
     _relation_pairs,
     act_twisted,
@@ -20,11 +20,12 @@ from jcokernel.brauer import (
     restriction_multiset,
     span_equality_check,
 )
-from jcokernel.combinatorics import brauer_dim, sk_character
+from jcokernel.combinatorics import _doubled_partitions, brauer_dim, lr_coefficient, sk_character
 from jcokernel.partitions import CycleType, Partition, partitions_of, syt_count
 from jcokernel.tensorspace import (
     PermAlgebraElement,
     SparseTensor,
+    SymplecticSpace,
     act_perm,
     omega,
     sp_maximal_vector,
@@ -39,6 +40,74 @@ def random_element(rng, k, delta, nterms=3):
         d = rng.choice(diagrams)
         terms[d] = terms.get(d, 0) + rng.randint(-3, 3)
     return BrauerElement(k, delta, terms)
+
+
+# ------------------------------------------------------------------ oracles
+
+
+@cache
+def generator_words(k):
+    """BFS expression of every diagram as a generator word and a loop exponent.
+
+    The product of the word's generator diagrams equals delta^exponent times
+    the diagram, independently of delta.
+    """
+    identity = BrauerDiagram.identity(k)
+    generators = [("s", i, BrauerDiagram.s(k, i)) for i in range(1, k)] + [
+        ("gamma", i, BrauerDiagram.gamma(k, i)) for i in range(1, k)
+    ]
+    table = {identity: ((), 0)}
+    frontier = [identity]
+    while frontier:
+        next_frontier = []
+        for diagram in frontier:
+            word, exponent = table[diagram]
+            for kind, i, gen in generators:
+                product, loops = compose_diagrams(diagram, gen)
+                if product not in table:
+                    table[product] = (word + ((kind, i),), exponent + loops)
+                    next_frontier.append(product)
+        frontier = next_frontier
+    assert len(table) == len(all_diagrams(k))
+    return table
+
+
+def act_generator(tensor, kind, i):
+    """s_i acts as minus the adjacent swap; gamma_i pairs out slots i, i+1 and
+    inserts minus omega in their place."""
+    if kind == "s":
+        return act_perm(tensor, PermAlgebraElement.transposition(tensor.degree, i) * -1)
+    space = SymplecticSpace(tensor.n // 2)
+    inserted = omega(space.g)._terms.items()
+    terms = {}
+    for word, coeff in tensor._terms.items():
+        value = space.pairing(word[i - 1], word[i])
+        for pair, sign in inserted if value else ():
+            image = word[: i - 1] + pair + word[i + 1 :]
+            terms[image] = terms.get(image, 0) - coeff * value * sign
+    return SparseTensor(tensor.degree, tensor.n, terms)
+
+
+def act_by_generator_words(tensor, diagram):
+    word, exponent = generator_words(diagram.k)[diagram]
+    for kind, i in word:
+        tensor = act_generator(tensor, kind, i)
+    return tensor * Fraction(1, (-tensor.n) ** exponent)
+
+
+def cell_weights(lam, k):
+    """{nu: weight} over nu of k containing lam', where the nonzero weight is
+    the sum over even-row beta of LR^nu_{lam', beta}."""
+    lam_conj = lam.conjugate()
+    # Even-row partitions are the conjugates of the doubled ones.
+    betas = [eta.conjugate() for eta in _doubled_partitions(k - lam.size)]
+    out = {}
+    for nu in partitions_of(k):
+        if nu.contains(lam_conj):
+            weight = sum(lr_coefficient(nu, lam_conj, beta) for beta in betas)
+            if weight:
+                out[nu] = weight
+    return out
 
 
 # ---------------------------------------------------------------- diagrams
@@ -101,6 +170,9 @@ def test_braid_relation_diagrammatically():
 def test_check_relations():
     for k in range(2, 6):
         assert check_relations(k, k)
+    # The direct action needs no table over all (2k-1)!! diagrams.
+    for k in (6, 7, 8):
+        assert check_relations(k, k + 2)
 
 
 def test_relation_products_are_built_once_per_parameter():
@@ -174,6 +246,41 @@ def test_action_commutes_with_sp_operators():
                 assert op.apply(act_twisted(t, a)) == act_twisted(op.apply(t), a)
 
 
+def full_support_tensor(rng, k, n):
+    letters = itertools.product(range(1, n + 1), repeat=k)
+    return SparseTensor(k, n, {word: rng.choice((-3, -2, -1, 1, 2, 3)) for word in letters})
+
+
+def test_action_matches_generator_words_on_every_small_diagram():
+    for k in range(1, 6):
+        for g in (1, 2):
+            t = full_support_tensor(random.Random(100 * k + g), k, 2 * g)
+            for d in all_diagrams(k):
+                assert act_twisted_diagram(t, d) == act_by_generator_words(t, d), d
+
+
+def test_action_matches_generator_words_on_a_sample_at_degree_six():
+    rng = random.Random(67)
+    diagrams = all_diagrams(6)
+    for _ in range(60):
+        t = random_tensor(rng, 6, 2 * rng.randint(1, 3), nterms=8)
+        d = rng.choice(diagrams)
+        assert act_twisted_diagram(t, d) == act_by_generator_words(t, d), d
+
+
+def test_cups_and_caps_need_an_even_alphabet():
+    t = SparseTensor(3, 3, {(1, 3, 2): 1, (2, 2, 1): -2})
+    for d in (BrauerDiagram.gamma(3, 1), BrauerDiagram(3, [(0, 1), (2, 3), (4, 5)])):
+        with pytest.raises(ValueError, match="got n=3"):
+            act_twisted_diagram(t, d)
+    with pytest.raises(ValueError, match="got n=3"):
+        act_twisted_diagram(SparseTensor.zero(3, 3), BrauerDiagram.gamma(3, 2))
+    # Permutations act on any alphabet.
+    for sigma in itertools.permutations(range(3)):
+        twisted = act_twisted_diagram(t, BrauerDiagram.from_permutation(3, sigma))
+        assert twisted == _perm_sign(sigma) * act_perm(t, PermAlgebraElement(3, {sigma: 1}))
+
+
 def test_parameter_mismatch_rejected():
     t = SparseTensor.basis_word(4, (1, 2))
     with pytest.raises(ValueError):
@@ -209,7 +316,7 @@ def test_ram_character_matches_lr_cell_weights():
     for k in range(0, 9):
         for j in range(0, k // 2 + 1):
             for lam in partitions_of(k - 2 * j):
-                weights = _cell_weights(lam, k)
+                weights = cell_weights(lam, k)
                 for cls in partitions_of(k):
                     expected = sum(w * sk_character(nu, cls) for nu, w in weights.items())
                     assert ram_character(lam, cls, k + 2) == expected
@@ -244,6 +351,22 @@ def test_restriction_multiset():
                 table = restriction_multiset(lam, k)
                 total = sum(mult * syt_count(nu) for nu, mult in table.items())
                 assert total == brauer_dim(lam, k, k + 2)
+
+
+def test_restriction_multiset_matches_lr_cell_weights():
+    for k in range(0, 9):
+        for j in range(0, k // 2 + 1):
+            for lam in partitions_of(k - 2 * j):
+                expected = sorted(
+                    ((nu.conjugate(), w) for nu, w in cell_weights(lam, k).items()), reverse=True
+                )
+                assert list(restriction_multiset(lam, k).items()) == expected, (lam, k)
+
+
+def test_restriction_multiset_checks_its_arguments():
+    for lam in ((1,), (3,), (1, 1, 1, 1)):
+        with pytest.raises(ValueError, match=re.escape("|lam| must equal k - 2j")):
+            restriction_multiset(lam, 2)
 
 
 def test_wedge_restriction_is_single_label():

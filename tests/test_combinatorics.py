@@ -7,7 +7,6 @@ import pytest
 
 from jcokernel.combinatorics import (
     SOURCES,
-    _maj_residues,
     brauer_dim,
     branching_coefficient,
     gl_to_sp_branching,
@@ -146,11 +145,12 @@ def test_kw_examples():
 
 
 def test_maj_residues_match_tableau_enumeration():
-    # The q-hook residues against a histogram of enumerated major indices.
+    # The Ramanujan-sum characters against a histogram of enumerated major
+    # indices, at every residue.
     for n in range(1, 11):
         for lam in partitions_of(n):
             histogram = Counter(t.major_index % n for t in standard_tableaux(lam))
-            assert _maj_residues(lam) == tuple(histogram[j] for j in range(n))
+            assert [kw_multiplicity(lam, j) for j in range(n)] == [histogram[j] for j in range(n)]
 
 
 def test_kw_residues_sum_to_tableau_count():
@@ -366,6 +366,17 @@ def test_mult_sp_in_module_tables():
     assert mult_sp_in_module((1,) * 6, "h", 6, 8) == 1
     for k in range(2, 8):
         assert mult_sp_in_module((k,), "cyclic", k, k + 2) == 1
+
+
+def test_headline_laws_for_every_k_up_to_60():
+    # The paper's [1^k] and [k] families, in the kernel h and in the cyclic
+    # quotient C, at g = k + 2.
+    for k in range(3, 61):
+        g = k + 2
+        assert mult_sp_in_module((1,) * k, "h", k, g) == (1 if k % 4 in (1, 2) else 0), k
+        assert mult_sp_in_module((1,) * k, "cyclic", k, g) == k % 2, k
+        assert mult_sp_in_module((k,), "h", k, g) == k % 2, k
+        assert mult_sp_in_module((k,), "cyclic", k, g) == 1, k
 
 
 def test_mult_sp_in_tensor_power_matches_brauer_dim():
