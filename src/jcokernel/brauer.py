@@ -33,8 +33,8 @@ from .tensorspace import (
     SparseTensor,
     _Combination,
     _accumulate,
-    _dual_letters,
     _exact,
+    _form,
     act_perm,
     sp_maximal_vector,
 )
@@ -122,58 +122,46 @@ def all_diagrams(k: int) -> tuple[BrauerDiagram, ...]:
 def compose_diagrams(d1: BrauerDiagram, d2: BrauerDiagram) -> tuple[BrauerDiagram, int]:
     """Stack d1 over d2, trace paths, and count removed interior loops.
 
-    Vertices of the stacked graph: 0..k-1 final top, k..2k-1 identified
-    middle row, 2k..3k-1 final bottom.  Edges are tracked by id because two
-    middle points can be joined by parallel edges (one from each diagram).
+    Points of the stack: 0..k-1 final top, k..2k-1 the shared middle row,
+    2k..3k-1 final bottom.  `upper` maps each point to its partner in d1,
+    `lower` to its partner in d2 shifted down one row; a path switches
+    diagram at each middle point.  Middle points no path visits close into
+    loops.
     """
     if d1.k != d2.k:
         raise ValueError("size mismatch")
     k = d1.k
-    edges: list[tuple[int, int]] = list(d1.edges)  # d1 keeps its ids
-    edges += [(a + k, b + k) for a, b in d2.edges]  # d2 shifts down one row
-    incident: dict[int, list[int]] = {v: [] for v in range(3 * k)}
-    for idx, (a, b) in enumerate(edges):
-        incident[a].append(idx)
-        incident[b].append(idx)
-
-    def other_end(idx: int, v: int) -> int:
-        a, b = edges[idx]
-        return b if v == a else a
-
-    used = [False] * len(edges)
-    traced: list[tuple[int, int]] = []
-    boundary = list(range(k)) + list(range(2 * k, 3 * k))
-    for start in boundary:
-        e = incident[start][0]
-        if used[e]:
-            continue  # already traced from the other endpoint
-        v = start
-        while True:
-            used[e] = True
-            v = other_end(e, v)
-            if v < k or v >= 2 * k:
-                break
-            first, second = incident[v]
-            e = second if e == first else first
-        traced.append((start, v))
+    upper, lower = {}, {}
+    for a, b in d1.edges:
+        upper[a], upper[b] = b, a
+    for a, b in d2.edges:
+        lower[a + k], lower[b + k] = b + k, a + k
+    ends: dict[int, int] = {}
+    visited = set()
+    for start in itertools.chain(range(k), range(2 * k, 3 * k)):
+        if start in ends:
+            continue  # already traced from its other end
+        partner = upper if start < k else lower
+        v = partner[start]
+        while k <= v < 2 * k:
+            visited.add(v)
+            partner = lower if partner is upper else upper
+            v = partner[v]
+        ends[start], ends[v] = v, start
     loops = 0
-    for start_edge in range(len(edges)):
-        if used[start_edge]:
-            continue
-        loops += 1
-        e = start_edge
-        v = edges[e][0]
-        while not used[e]:
-            used[e] = True
-            v = other_end(e, v)
-            first, second = incident[v]
-            e = second if e == first else first
+    for v in range(k, 2 * k):
+        if v not in visited:
+            loops += 1
+            while v not in visited:
+                visited.add(v)
+                visited.add(upper[v])
+                v = lower[upper[v]]
 
     def relabel(v: int) -> int:
         return v if v < k else v - k
 
-    result = BrauerDiagram(k, [(relabel(a), relabel(b)) for a, b in traced])
-    return result, loops
+    edges = [(relabel(a), relabel(b)) for a, b in ends.items() if a < b]
+    return BrauerDiagram(k, edges), loops
 
 
 class BrauerElement(_Combination):
@@ -253,26 +241,22 @@ def _plan(diagram: BrauerDiagram) -> tuple[int, tuple, tuple, tuple]:
     return (-1) ** (crossings + len(caps)), cups, through, caps
 
 
-@cache
-def _letter_pairs(n: int) -> tuple[tuple[int, int, int], ...]:
-    """(r, r', sign) with e_r* = sign e_r', so that omega = sum_r e_r (x) e_r*."""
-    return tuple((r[0], rdual[0], sign) for r, rdual, sign in _dual_letters(n))
-
-
 def _images(tensor: SparseTensor, diagram: BrauerDiagram, scale: Coeff):
     """(word, coeff) pairs of scale times the tensor acted on by one diagram."""
     sign, cups, through, caps = _plan(diagram)
-    n = tensor.n
-    if caps and n % 2:
-        raise ValueError(f"cups and caps pair letters symplectically, so n must be even; got n={n}")
-    pairs = _letter_pairs(n) if caps else ()
+    if caps:  # a diagram has as many cups as caps
+        form = _form(tensor.n)
+        dual, letter_sign, pairs = form.dual, form.sign, form.pairs
+    else:
+        pairs = ()
     scale *= sign
     out = [0] * diagram.k
     for word, coeff in tensor._terms.items():
         for a, b in cups:
-            if word[a] + word[b] != n + 1:
+            r = word[a]
+            if dual[r] != word[b]:
                 break  # <w_a, w_b> = 0
-            if 2 * word[a] > n:
+            if letter_sign[r] < 0:
                 coeff = -coeff
         else:
             coeff *= scale

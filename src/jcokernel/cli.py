@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 from . import selftest
@@ -32,8 +33,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--watermark",
         type=int,
-        default=None,
-        help="abort tensor computations whose live term count exceeds this",
+        default=os.environ.get("JCOKERNEL_WATERMARK"),
+        help="abort tensor computations whose live term count exceeds this "
+        "(default: $JCOKERNEL_WATERMARK, else the library limit)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -132,8 +134,8 @@ def cmd_brauer_char(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def cmd_selftest(args: argparse.Namespace, out, inject_fault: bool = False) -> int:
-    checks = selftest.run_selftest(args.level, seed=args.seed, inject_fault=inject_fault)
+def cmd_selftest(args: argparse.Namespace, out) -> int:
+    checks = selftest.run_selftest(args.level, seed=args.seed)
     failed = 0
     for name, passed in checks:
         out.write(f"{'PASS' if passed else 'FAIL'}  {name}\n")

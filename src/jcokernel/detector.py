@@ -24,7 +24,7 @@ from .freelie import (
 )
 from .partitions import Partition
 from .spweights import Weight, is_maximal
-from .tensorspace import CyclicVector, cont_k, cyclic_project, rat_str
+from .tensorspace import CyclicVector, cont_k, cyclic_project, gl_maximal_vector, rat_str
 
 REPORT_SCHEMA = "detection-report/1"
 
@@ -47,7 +47,7 @@ def family_partition(family: str, k: int) -> Partition:
 
 def seed_projection(family: str, k: int, g: int) -> CyclicVector:
     """Rotation-quotient image of the family's seed word."""
-    return cyclic_project(_family(family).word(k, 2 * g))
+    return cyclic_project(gl_maximal_vector(family_partition(family, k), 2 * g))
 
 
 @dataclass

@@ -22,8 +22,8 @@ from .tensorspace import (
     _accumulate,
     act_perm,
     expansion,
+    gl_maximal_vector,
     omega,
-    wedge,
 )
 
 FAMILY_SYMMETRIC = "[k]"
@@ -166,12 +166,11 @@ def averaged_projector(k: int) -> PermAlgebraElement:
 
 @dataclass(frozen=True)
 class _Family:
-    """What defines a family: its partition of k, its degree-k seed word over
-    n letters, the closed-form coefficients for r = 1..k+1, and the k its
-    theorem covers (`requirement` says which)."""
+    """What defines a family: its partition of k, the closed-form
+    coefficients for r = 1..k+1, and the k its theorem covers (`requirement`
+    says which).  The seed word is the GL maximal vector of the partition."""
 
     partition: Callable[[int], Partition]
-    word: Callable[[int, int], SparseTensor]
     coefficients: Callable[[int], list[int]]
     admissible: Callable[[int], bool]
     requirement: str
@@ -189,14 +188,12 @@ def _alternating_coefficients(k: int) -> list[int]:
 _FAMILY_TABLE = {
     FAMILY_SYMMETRIC: _Family(
         partition=lambda k: Partition((k,)),
-        word=lambda k, n: SparseTensor.basis_word(n, (1,) * k),
         coefficients=lambda k: [(-1) ** (r - 1) * comb(k, r - 1) for r in range(1, k + 2)],
         admissible=lambda k: k >= 3 and k % 2 == 1,
         requirement="family [k] requires odd k >= 3",
     ),
     FAMILY_ALTERNATING: _Family(
         partition=lambda k: Partition((1,) * k),
-        word=lambda k, n: wedge(range(1, k + 1), n),
         coefficients=_alternating_coefficients,
         admissible=lambda k: k >= 5 and k % 4 == 1,
         requirement="family [1^k] requires k = 1 (mod 4) and k >= 5",
@@ -232,15 +229,15 @@ def _check_preconditions(family: str, k: int, g: int) -> None:
 def phi_candidate(family: str, k: int, g: int, check: bool = True) -> SparseTensor:
     """Seed vector pushed into the bracket-map kernel by the averaged projector.
 
-    The seed is omega (x) e_1^(x)k for family "[k]" and omega (x) wedge for
-    family "[1^k]".
+    The seed is omega (x) the GL maximal vector of the family's partition:
+    omega (x) e_1^(x)k for family "[k]" and omega (x) wedge for family "[1^k]".
     """
     if check:
         _check_preconditions(family, k, g)
-    word = _family(family).word
+    partition = _family(family).partition
     if g < 1 or k < 1:
         raise ValueError("k and g must be positive")
-    seed = omega(g).tensor(word(k, 2 * g))
+    seed = omega(g).tensor(gl_maximal_vector(partition(k), 2 * g))
     return rotation_orbit_sum(apply_theta_stabilizer(seed, k))
 
 
@@ -256,7 +253,7 @@ def closed_form_phi(family: str, k: int, g: int, check: bool = True) -> SparseTe
     entry = _family(family)
     coefficients = entry.coefficients(k)
     n = 2 * g
-    base = entry.word(k, n)
+    base = gl_maximal_vector(entry.partition(k), n)
     total: dict[bytes, int] = {}
     for i in range(1, k + 2):
         for r in range(1, k - i + 3):

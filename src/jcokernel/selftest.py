@@ -126,19 +126,12 @@ def _step4_sum(k: int) -> int:
     return sum((-1) ** r * c for r, c in enumerate(coefficients))
 
 
-def run_selftest(level: str = "fast", seed: int = 0, inject_fault: bool = False) -> list[Check]:
-    """Run the invariant panels; returns (name, passed) pairs.
-
-    `inject_fault` flips the outcome of the final check, simulating a
-    corrupted build; it exists for testing the harness itself.
-    """
+def run_selftest(level: str = "fast", seed: int = 0) -> list[Check]:
+    """Run the invariant panels; returns (name, passed) pairs."""
     if level not in ("fast", "full"):
         raise ValueError("level must be 'fast' or 'full'")
     rng = random.Random(seed)
     checks = _fast_checks(rng)
     if level == "full":
         checks += _full_checks(rng)
-    if inject_fault and checks:
-        name, passed = checks[-1]
-        checks[-1] = (name + " [fault injected]", not passed)
     return checks

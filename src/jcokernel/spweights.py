@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import compress, repeat
 from operator import contains
 
-from .tensorspace import Coeff, SparseTensor, SymplecticSpace, _accumulate
+from .tensorspace import Coeff, SparseTensor, SymplecticSpace, _accumulate, _form
 
 Weight = tuple[int, ...]
 
@@ -78,16 +78,12 @@ def sp_raising_operators(g: int) -> list[LieOperator]:
     <Xu, v> + <u, Xv> = 0.
     """
     space = SymplecticSpace(g)
+    dual = space.dual
     ops = []
     for i in range(1, g):
-        columns = {
-            i + 1: ((i, 1),),
-            space.dual_index(i): ((space.dual_index(i + 1), -1),),
-        }
+        columns = {i + 1: ((i, 1),), dual[i]: ((dual[i + 1], -1),)}
         ops.append(LieOperator(space.n, columns, name=f"X[{i}]"))
-    ops.append(
-        LieOperator(space.n, {space.dual_index(g): ((g, 1),)}, name=f"X[{g}]")
-    )
+    ops.append(LieOperator(space.n, {dual[g]: ((g, 1),)}, name=f"X[{g}]"))
     return ops
 
 
@@ -126,15 +122,11 @@ def word_weight(word, mode: str, n: int) -> Weight:
             vec[b - 1] += 1
         return tuple(vec)
     if mode == "sp":
-        if n % 2:
-            raise ValueError("sp weights need an even alphabet")
-        g = n // 2
-        vec = [0] * g
+        space = _form(n)
+        dual, sign = space.dual, space.sign
+        vec = [0] * space.g
         for b in word:
-            if b <= g:
-                vec[b - 1] += 1
-            else:
-                vec[n - b] -= 1
+            vec[min(b, dual[b]) - 1] += sign[b]
         return tuple(vec)
     raise ValueError(f"mode must be 'gl' or 'sp', got {mode!r}")
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 from fractions import Fraction
 from functools import cache
 from math import factorial, prod
@@ -40,8 +39,7 @@ class TermLimitError(RuntimeError):
         self.limit = limit
 
 
-_WATERMARK_ENV = "JCOKERNEL_WATERMARK"
-_term_limit = int(os.environ.get(_WATERMARK_ENV, "5000000"))
+_term_limit = 5_000_000
 _peak_terms = 0
 
 
@@ -89,10 +87,14 @@ class SymplecticSpace:
     """The 2g-dimensional rational symplectic space with basis e_1..e_2g.
 
     The index involution is i' = 2g - i + 1; the pairing satisfies
-    <e_i, e_i'> = 1 for i <= g and is antisymmetric.
+    <e_i, e_i'> = 1 for i <= g and is antisymmetric.  This class is the one
+    place the form is written down, as three letter tables: `dual[i]` = i'
+    and `sign[i]`, so that e_i* = sign[i] e_i' and <e_i, e_j> = sign[i] iff
+    j = i' (entry 0 of both is unused), and `pairs`, the triples
+    (r, r', sign[r]) for r = 1..2g.
     """
 
-    __slots__ = ("g", "n")
+    __slots__ = ("g", "n", "dual", "sign", "pairs")
 
     def __init__(self, g: int):
         if g < 1:
@@ -100,7 +102,10 @@ class SymplecticSpace:
         if g > 127:
             raise ValueError(f"genus {g} out of range: the 2g letters are bytes, so g <= 127")
         self.g = g
-        self.n = 2 * g
+        self.n = n = 2 * g
+        self.dual = (0, *range(n, 0, -1))
+        self.sign = (0,) + (1,) * g + (-1,) * g
+        self.pairs = tuple(zip(range(1, n + 1), self.dual[1:], self.sign[1:]))
 
     def _check(self, i: int) -> None:
         if not 1 <= i <= self.n:
@@ -108,19 +113,17 @@ class SymplecticSpace:
 
     def dual_index(self, i: int) -> int:
         self._check(i)
-        return self.n - i + 1
+        return self.dual[i]
 
     def dual_basis_vector(self, i: int) -> tuple[int, int]:
         """e_i* as (index, sign): (i', +1) for i <= g, (i', -1) for i > g."""
         self._check(i)
-        return self.n - i + 1, 1 if i <= self.g else -1
+        return self.dual[i], self.sign[i]
 
     def pairing(self, i: int, j: int) -> int:
         self._check(i)
         self._check(j)
-        if i + j != self.n + 1:
-            return 0
-        return 1 if i <= self.g else -1
+        return self.sign[i] if j == self.dual[i] else 0
 
     def __eq__(self, other):
         return isinstance(other, SymplecticSpace) and other.g == self.g
@@ -130,6 +133,14 @@ class SymplecticSpace:
 
     def __repr__(self):
         return f"SymplecticSpace(g={self.g})"
+
+
+@cache
+def _form(n: int) -> SymplecticSpace:
+    """The symplectic space whose basis letters are the alphabet {1..n}."""
+    if n % 2:
+        raise ValueError(f"symplectic tensors need an even alphabet, got n={n}")
+    return SymplecticSpace(n // 2)
 
 
 def _exact(value: Coeff, what: str) -> Coeff:
@@ -217,11 +228,9 @@ class _Combination:
         """JSON layout of a word-keyed combination (degree, alphabet) over the
         2g letters of a symplectic space; terms sorted by word."""
         degree, n = self._shape
-        if n % 2:
-            raise ValueError("serialization is defined for symplectic tensors")
         return {
             "degree": degree,
-            "g": n // 2,
+            "g": _form(n).g,
             "terms": [
                 {"word": list(word), "coeff": rat_str(coeff)}
                 for word, coeff in self.terms()
@@ -443,10 +452,7 @@ def act_perm(tensor: SparseTensor, element: PermAlgebraElement) -> SparseTensor:
 def omega(g: int) -> SparseTensor:
     """The invariant 2-tensor: sum of e_i (x) e_i* over the basis."""
     space = SymplecticSpace(g)
-    terms: dict[bytes, Coeff] = {}
-    for i in range(1, space.n + 1):
-        j, sign = space.dual_basis_vector(i)
-        terms[bytes((i, j))] = sign
+    terms = {bytes((r, rdual)): sign for r, rdual, sign in space.pairs}
     return SparseTensor._raw((2, space.n), terms)
 
 
@@ -469,12 +475,7 @@ def wedge(indices, n: int) -> SparseTensor:
 @cache
 def _dual_letters(n: int) -> tuple[tuple[bytes, bytes, int], ...]:
     """(e_r, e_r', sign) as one-letter words for r = 1..n, where e_r* = sign e_r'."""
-    space = SymplecticSpace(n // 2)
-    out = []
-    for r in range(1, n + 1):
-        rdual, sign = space.dual_basis_vector(r)
-        out.append((bytes((r,)), bytes((rdual,)), sign))
-    return tuple(out)
+    return tuple((bytes((r,)), bytes((rdual,)), sign) for r, rdual, sign in _form(n).pairs)
 
 
 def expansion(tensor: SparseTensor, i: int, j: int) -> SparseTensor:
@@ -485,8 +486,6 @@ def expansion(tensor: SparseTensor, i: int, j: int) -> SparseTensor:
     k = tensor.degree
     if not 1 <= i < j <= k + 2:
         raise ValueError(f"need 1 <= i < j <= {k + 2}, got ({i}, {j})")
-    if tensor.n % 2:
-        raise ValueError("expansion needs a symplectic alphabet")
     letters = _dual_letters(tensor.n)
     # The original word splits around the inserted slots i and j.
     a, b = i - 1, j - 2
@@ -503,17 +502,14 @@ def cont_k(tensor: SparseTensor) -> SparseTensor:
     """Contract the first two factors: e_a (x) e_b (x) rest -> <e_b, e_a> rest."""
     if tensor.degree < 2:
         raise ValueError("contraction needs degree >= 2")
-    if tensor.n % 2:
-        raise ValueError("contraction needs a symplectic alphabet")
-    space = SymplecticSpace(tensor.n // 2)
-
-    def contracted():
-        for word, coeff in tensor._terms.items():
-            value = space.pairing(word[1], word[0])
-            if value:
-                yield word[2:], coeff * value
-
-    out = _accumulate({}, contracted(), "cont_k")
+    space = _form(tensor.n)
+    dual, sign = space.dual, space.sign
+    contracted = (
+        (word[2:], coeff * sign[word[1]])
+        for word, coeff in tensor._terms.items()
+        if dual[word[1]] == word[0]
+    )
+    out = _accumulate({}, contracted, "cont_k")
     return SparseTensor._raw((tensor.degree - 2, tensor.n), out)
 
 

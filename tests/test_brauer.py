@@ -95,6 +95,59 @@ def act_by_generator_words(tensor, diagram):
     return tensor * Fraction(1, (-tensor.n) ** exponent)
 
 
+def compose_by_edge_ids(d1, d2):
+    """Stack d1 over d2 and trace the stacked graph by edge ids.
+
+    Vertices: 0..k-1 final top, k..2k-1 identified middle row, 2k..3k-1 final
+    bottom.  Edges are tracked by id because two middle points can be joined
+    by parallel edges (one from each diagram).
+    """
+    k = d1.k
+    edges = list(d1.edges)  # d1 keeps its ids
+    edges += [(a + k, b + k) for a, b in d2.edges]  # d2 shifts down one row
+    incident = {v: [] for v in range(3 * k)}
+    for idx, (a, b) in enumerate(edges):
+        incident[a].append(idx)
+        incident[b].append(idx)
+
+    def other_end(idx, v):
+        a, b = edges[idx]
+        return b if v == a else a
+
+    used = [False] * len(edges)
+    traced = []
+    for start in list(range(k)) + list(range(2 * k, 3 * k)):
+        e = incident[start][0]
+        if used[e]:
+            continue  # already traced from the other endpoint
+        v = start
+        while True:
+            used[e] = True
+            v = other_end(e, v)
+            if v < k or v >= 2 * k:
+                break
+            first, second = incident[v]
+            e = second if e == first else first
+        traced.append((start, v))
+    loops = 0
+    for start_edge in range(len(edges)):
+        if used[start_edge]:
+            continue
+        loops += 1
+        e = start_edge
+        v = edges[e][0]
+        while not used[e]:
+            used[e] = True
+            v = other_end(e, v)
+            first, second = incident[v]
+            e = second if e == first else first
+
+    def relabel(v):
+        return v if v < k else v - k
+
+    return BrauerDiagram(k, [(relabel(a), relabel(b)) for a, b in traced]), loops
+
+
 def cell_weights(lam, k):
     """{nu: weight} over nu of k containing lam', where the nonzero weight is
     the sum over even-row beta of LR^nu_{lam', beta}."""
@@ -131,6 +184,18 @@ def test_compose_examples():
 def test_compose_size_mismatch():
     with pytest.raises(ValueError):
         compose_diagrams(BrauerDiagram.identity(2), BrauerDiagram.identity(3))
+
+
+def test_compose_matches_edge_id_tracing():
+    for k in range(1, 5):
+        diagrams = all_diagrams(k)
+        for d1, d2 in itertools.product(diagrams, repeat=2):
+            assert compose_diagrams(d1, d2) == compose_by_edge_ids(d1, d2), (d1, d2)
+    rng = random.Random(71)
+    diagrams = all_diagrams(5)
+    for _ in range(20_000):
+        d1, d2 = rng.choice(diagrams), rng.choice(diagrams)
+        assert compose_diagrams(d1, d2) == compose_by_edge_ids(d1, d2), (d1, d2)
 
 
 def test_diagram_composition_associative():

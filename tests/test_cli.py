@@ -1,9 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from jcokernel.cli import _build_parser, cmd_selftest, main
+from jcokernel import selftest
+from jcokernel.cli import main
 
 
 def run_cli(*argv):
@@ -106,12 +110,14 @@ def test_selftest_fast():
     assert "FAIL" not in text
 
 
-def test_selftest_fault_injection_fails():
-    out = io.StringIO()
-    args = _build_parser().parse_args(["selftest"])
-    code = cmd_selftest(args, out, inject_fault=True)
+def test_selftest_fault_injection_fails(monkeypatch):
+    real = selftest.run_selftest
+    monkeypatch.setattr(
+        selftest, "run_selftest", lambda *a, **kw: real(*a, **kw) + [("injected fault", False)]
+    )
+    code, text = run_cli("selftest")
     assert code == 1
-    assert "FAIL" in out.getvalue()
+    assert "FAIL  injected fault" in text
 
 
 def test_watermark_flag_aborts_cleanly():
@@ -145,6 +151,44 @@ def test_nonpositive_watermark_is_a_usage_error():
     code, _ = run_cli("--watermark", "0", "witt", "--n", "2", "--k-max", "2")
     assert code == 2
     assert get_term_limit() == before
+
+
+@pytest.mark.parametrize("value", ["abc", "1e6"])
+def test_unparsable_watermark_variable_is_a_usage_error(value, monkeypatch, capsys):
+    monkeypatch.setenv("JCOKERNEL_WATERMARK", value)
+    with pytest.raises(SystemExit) as exc:
+        run_cli("witt", "--n", "2", "--k-max", "2")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid int value" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_nonpositive_watermark_variable_is_a_usage_error(value, monkeypatch, capsys):
+    from jcokernel.tensorspace import get_term_limit
+
+    before = get_term_limit()
+    monkeypatch.setenv("JCOKERNEL_WATERMARK", value)
+    code, text = run_cli("witt", "--n", "2", "--k-max", "2")
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == "error: watermark must be positive\n"
+    assert get_term_limit() == before
+
+
+def test_watermark_variable_is_the_flag_default(monkeypatch):
+    monkeypatch.setenv("JCOKERNEL_WATERMARK", "7")
+    code, _ = run_cli("detect", "--family", "[k]", "--k", "3", "--g", "5")
+    assert code == 3
+    monkeypatch.delenv("JCOKERNEL_WATERMARK")
+    code, _ = run_cli("detect", "--family", "[k]", "--k", "3", "--g", "5")
+    assert code == 0
+
+
+def test_import_ignores_a_bad_watermark_variable():
+    env = dict(os.environ, JCOKERNEL_WATERMARK="abc")
+    done = subprocess.run([sys.executable, "-c", "import jcokernel"], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("family, k", [("[k]", 3), ("[1^k]", 5)])

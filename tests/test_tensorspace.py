@@ -1,11 +1,18 @@
 import random
+import re
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
-from jcokernel.brauer import BrauerDiagram, BrauerElement, _random_tensor as random_tensor
+from jcokernel.brauer import (
+    BrauerDiagram,
+    BrauerElement,
+    _random_tensor as random_tensor,
+    act_twisted_diagram,
+)
 from jcokernel.partitions import partitions_of
+from jcokernel.spweights import word_weight
 from jcokernel.tensorspace import (
     CyclicVector,
     PermAlgebraElement,
@@ -52,6 +59,48 @@ def test_pairing_values():
             assert s.pairing(i, j) * sign == 1  # <e_i, e_i*> = 1
     with pytest.raises(ValueError):
         SymplecticSpace(2).pairing(0, 1)
+
+
+def test_letter_tables_follow_the_involution():
+    for g in range(1, 128):
+        space = SymplecticSpace(g)
+        for i in range(1, 2 * g + 1):
+            assert space.dual[i] == 2 * g + 1 - i
+            assert space.sign[i] == (1 if i <= g else -1)
+        assert space.pairs == tuple(
+            (i, 2 * g + 1 - i, 1 if i <= g else -1) for i in range(1, 2 * g + 1)
+        )
+
+
+def test_contraction_matches_per_term_pairing():
+    rng = random.Random(29)
+    for g in (1, 2, 3):
+        space = SymplecticSpace(g)
+        for degree in range(2, 6):
+            t = random_tensor(rng, degree, 2 * g, nterms=40)
+            expected = {}
+            for word, coeff in t.terms():
+                value = space.pairing(word[1], word[0])
+                expected[word[2:]] = expected.get(word[2:], 0) + coeff * value
+            assert cont_k(t) == SparseTensor(degree - 2, 2 * g, expected), (g, degree)
+
+
+@pytest.mark.parametrize(
+    "operation",
+    [
+        cont_k,
+        lambda t: expansion(t, 1, 2),
+        lambda t: word_weight(b"\x01\x02", "sp", t.n),
+        lambda t: t.to_json_dict(),
+        lambda t: act_twisted_diagram(t, BrauerDiagram.gamma(3, 1)),
+    ],
+    ids=["cont_k", "expansion", "word_weight", "to_json_dict", "act_twisted_diagram"],
+)
+def test_odd_alphabet_raises_one_message(operation):
+    odd = SparseTensor(3, 3, {b"\x01\x03\x02": 1, b"\x02\x02\x01": -2})
+    message = "symplectic tensors need an even alphabet, got n=3"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        operation(odd)
 
 
 def test_genus_and_alphabet_fit_in_byte_letters():
