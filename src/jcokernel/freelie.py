@@ -17,6 +17,7 @@ from operator import mul
 
 from .partitions import Partition
 from .tensorspace import (
+    Coeff,
     PermAlgebraElement,
     SparseTensor,
     _accumulate,
@@ -134,25 +135,54 @@ def left_normed_bracket(letters, n: int) -> SparseTensor:
     return result
 
 
+def _letter_blocks(tensor: SparseTensor) -> list[SparseTensor]:
+    """The distinct blocks of t, one per letter multiset, each relabelled
+    onto letters 1..d and signed to a canonical form.
+
+    A place permutation keeps the letter multiset of a word and commutes
+    with relabelling the letters and with scalars, so an identity
+    t . x = c t holds on t exactly when it holds on every block here.
+    Letters are ordered by descending count, then by letter; a block whose
+    least word has a negative coefficient is negated.  Blocks that agree
+    after this are checked once: omega sums one pattern over all g pairs.
+    """
+    terms = tensor._terms
+    groups: dict[bytes, dict[bytes, Coeff]] = {}
+    for letters, (word, coeff) in zip(map(bytes, map(sorted, terms)), terms.items()):
+        groups.setdefault(letters, {})[word] = coeff
+    blocks: dict[frozenset, SparseTensor] = {}
+    for letters, block in groups.items():
+        order = sorted(set(letters), key=lambda a: (-letters.count(a), a))
+        table = bytes.maketrans(bytes(order), bytes(range(1, len(order) + 1)))
+        relabelled = {word.translate(table): coeff for word, coeff in block.items()}
+        if relabelled[min(relabelled)] < 0:
+            relabelled = {word: -coeff for word, coeff in relabelled.items()}
+        blocks.setdefault(
+            frozenset(relabelled.items()), SparseTensor._raw(tensor._shape, relabelled)
+        )
+    return list(blocks.values())
+
+
 def is_lie_element(tensor: SparseTensor) -> bool:
-    """Exact test t . theta_m = m t; the zero tensor passes vacuously."""
-    if tensor.is_zero():
-        return True
+    """Exact test t . theta_m = m t, once per letter block; the zero tensor
+    passes vacuously."""
     if tensor.degree == 1:
         return True
-    return apply_theta(tensor) == tensor.degree * tensor
+    m = tensor.degree
+    return all(apply_theta(block) == m * block for block in _letter_blocks(tensor))
 
 
 def is_in_h(tensor: SparseTensor, k: int) -> bool:
     """Membership in the bracket-map kernel, by the two-sided criterion
-    t . theta_P = (k+1) t and t . sigma_{k+2} = t, both exact."""
+    t . theta_P = (k+1) t and t . sigma_{k+2} = t, both exact and checked
+    once per letter block."""
     if tensor.degree != k + 2:
         raise ValueError(f"tensor degree must be {k + 2}")
-    if tensor.is_zero():
-        return True
-    if apply_theta_stabilizer(tensor, k) != (k + 1) * tensor:
-        return False
-    return act_perm(tensor, full_cycle(k + 2)) == tensor
+    sigma = full_cycle(k + 2)
+    return all(
+        _fold(block, 1) == (k + 1) * block and act_perm(block, sigma) == block
+        for block in _letter_blocks(tensor)
+    )
 
 
 def averaged_projector(k: int) -> PermAlgebraElement:

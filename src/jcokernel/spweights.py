@@ -113,9 +113,12 @@ def word_weight(word, mode: str, n: int) -> Weight:
     """Torus weight of a basis word.
 
     GL mode counts letters; Sp mode records e_i as +eps_i for i <= g and
-    e_{i'} as -eps_i.
+    e_{i'} as -eps_i.  A letter outside 1..n raises ValueError.
     """
     word = bytes(word)
+    outside = [b for b in word if not 1 <= b <= n]
+    if outside:
+        raise ValueError(f"letter {outside[0]} out of range 1..{n}")
     if mode == "gl":
         vec = [0] * n
         for b in word:
@@ -134,7 +137,8 @@ def word_weight(word, mode: str, n: int) -> Weight:
 def common_weight(tensor: SparseTensor, mode: str) -> Weight | None:
     """The single weight shared by every word of the tensor, else None."""
     weight = None
-    # Words with one letter multiset share one weight: compute it once.
+    # Words with one letter multiset share one weight: compute it, and check
+    # its letters, once.
     for letters in set(map(bytes, map(sorted, tensor._terms))):
         vec = word_weight(letters, mode, tensor.n)
         if weight is None:

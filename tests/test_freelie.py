@@ -4,11 +4,14 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from jcokernel.brauer import _random_tensor as random_tensor
 from jcokernel.freelie import (
     FAMILY_ALTERNATING,
     FAMILY_SYMMETRIC,
+    _letter_blocks,
     apply_theta,
     apply_theta_stabilizer,
     averaged_projector,
@@ -191,6 +194,119 @@ def test_corollary_operator_identity_on_random_tensors():
         for _ in range(10):
             t = random_tensor(rng, k + 2, 2 * g)
             assert act_perm(t, lhs) == (k + 1) * act_perm(t, proj)
+
+
+# ------------------------------------------ block checks against the oracle
+#
+# is_in_h and is_lie_element check their identities once per relabelled
+# letter-multiset block.  The oracles below are the same criteria applied to
+# the whole tensor.
+
+
+def in_h_oracle(t, k):
+    return apply_theta_stabilizer(t, k) == (k + 1) * t and act_perm(t, full_cycle(k + 2)) == t
+
+
+def lie_oracle(t):
+    return t.is_zero() or t.degree == 1 or apply_theta(t) == t.degree * t
+
+
+def _tensors(degree, n, max_terms=12):
+    words = st.lists(st.integers(1, n), min_size=degree, max_size=degree).map(bytes)
+    terms = st.dictionaries(words, st.integers(-3, 3), max_size=max_terms)
+    return terms.map(lambda terms: SparseTensor(degree, n, terms))
+
+
+_checks = settings(max_examples=40, deadline=None, database=None)
+
+
+@seed(20261019)
+@_checks
+@given(st.data(), st.integers(2, 4), st.integers(2, 4))
+def test_in_h_blocks_agree_with_oracle(data, k, n):
+    t = data.draw(_tensors(k + 2, n))
+    image = act_perm(t, averaged_projector(k))
+    assert in_h_oracle(image, k)
+    # t . theta_P passes the theta_P half, and in general fails the rotation.
+    folded = apply_theta_stabilizer(t, k)
+    for tensor in (t, folded, image, image + t, image + 2 * folded):
+        assert is_in_h(tensor, k) == in_h_oracle(tensor, k)
+
+
+@seed(20261019)
+@_checks
+@given(st.data(), st.integers(1, 6), st.integers(1, 4))
+def test_lie_blocks_agree_with_oracle(data, m, n):
+    t = data.draw(_tensors(m, n))
+    brackets = apply_theta(t) if m >= 2 else t
+    assert lie_oracle(brackets)
+    for tensor in (t, brackets, brackets + t):
+        assert is_lie_element(tensor) == lie_oracle(tensor)
+
+
+@seed(20261019)
+@_checks
+@given(st.data(), st.integers(2, 6), st.integers(1, 6))
+def test_relabelling_commutes_with_place_permutations(data, degree, n):
+    t = data.draw(_tensors(degree, n))
+    images = data.draw(st.permutations(range(1, n + 1)))
+    table = bytes.maketrans(bytes(range(1, n + 1)), bytes(images))
+
+    def relabel(tensor):
+        return SparseTensor(degree, n, {w.translate(table): c for w, c in tensor.terms()})
+
+    sigma = tuple(data.draw(st.permutations(range(degree))))
+    element = PermAlgebraElement.from_permutation(sigma, data.draw(st.integers(-2, 2)))
+    assert act_perm(relabel(t), element) == relabel(act_perm(t, element))
+
+
+def _edited_candidate(edit):
+    """[k] k=5 g=7 with edit(block) applied to its second letter block, in
+    the order of its terms, so that the first block stays the one kept."""
+    phi = phi_candidate(FAMILY_SYMMETRIC, 5, 7)
+    blocks = {}
+    for word, coeff in phi._terms.items():
+        blocks.setdefault(bytes(sorted(word)), {})[word] = coeff
+    assert len(blocks) == 6
+    second = list(blocks)[1]
+    blocks[second] = edit(blocks[second])
+    terms = {word: coeff for block in blocks.values() for word, coeff in block.items()}
+    return SparseTensor(7, 14, terms)
+
+
+def test_in_h_on_edited_blocks_of_a_candidate():
+    # All six blocks of the candidate relabel onto one canonical block.
+    assert len(_letter_blocks(phi_candidate(FAMILY_SYMMETRIC, 5, 7))) == 1
+    negated = _edited_candidate(lambda block: {w: -c for w, c in block.items()})
+    assert len(_letter_blocks(negated)) == 1
+    doubled = _edited_candidate(lambda block: {w: 2 * c for w, c in block.items()})
+    assert len(_letter_blocks(doubled)) == 2
+
+    def change_one(block):
+        word = min(block)
+        return {**block, word: block[word] + 1}
+
+    # The changed block must not be deduplicated away with the other five.
+    changed = _edited_candidate(change_one)
+    assert len(_letter_blocks(changed)) == 2
+    for tensor, expected in ((negated, True), (doubled, True), (changed, False)):
+        assert is_in_h(tensor, 5) is expected
+        assert in_h_oracle(tensor, 5) is expected
+
+
+@pytest.mark.parametrize(
+    "family, k, g, sizes",
+    [
+        (FAMILY_SYMMETRIC, 15, 17, [272]),
+        (FAMILY_ALTERNATING, 5, 7, [1344, 5040]),
+        (FAMILY_SYMMETRIC, 11, 13, [156]),
+    ],
+)
+def test_detect_vectors_reduce_to_few_blocks(family, k, g, sizes):
+    # The kernel test of the benchmark's detect vectors checks these blocks
+    # only: 16, 7 and 12 letter multisets collapse to 1, 2 and 1.
+    blocks = _letter_blocks(phi_candidate(family, k, g))
+    assert sorted(block.support_size() for block in blocks) == sizes
 
 
 # ---------------------------------------------------------- step identities

@@ -30,6 +30,17 @@ def test_word_weights():
     assert word_weight((1, 1, 1), "gl", 4) == (3, 0, 0, 0)
 
 
+@pytest.mark.parametrize("mode", ["gl", "sp"])
+@pytest.mark.parametrize("letter", [0, 5])
+def test_word_weight_rejects_letters_outside_the_alphabet(mode, letter):
+    # Unchecked, letter 0 would index the last slot of the weight vector.
+    message = f"letter {letter} out of range 1..4"
+    with pytest.raises(ValueError, match=message):
+        word_weight(bytes((letter, 1)), mode, 4)
+    with pytest.raises(ValueError, match=message):
+        common_weight(SparseTensor._raw((2, 4), {bytes((1, letter)): 1}), mode)
+
+
 def test_operator_counts():
     for g in range(1, 6):
         assert len(gl_raising_operators(2 * g)) == 2 * g - 1
