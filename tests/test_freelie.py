@@ -211,9 +211,9 @@ def lie_oracle(t):
     return t.is_zero() or t.degree == 1 or apply_theta(t) == t.degree * t
 
 
-def _tensors(degree, n, max_terms=12):
+def _tensors(degree, n):
     words = st.lists(st.integers(1, n), min_size=degree, max_size=degree).map(bytes)
-    terms = st.dictionaries(words, st.integers(-3, 3), max_size=max_terms)
+    terms = st.dictionaries(words, st.integers(-3, 3), max_size=12)
     return terms.map(lambda terms: SparseTensor(degree, n, terms))
 
 
