@@ -24,7 +24,16 @@ from .freelie import (
 )
 from .partitions import Partition
 from .spweights import Weight, is_maximal
-from .tensorspace import CyclicVector, cont_k, cyclic_project, gl_maximal_vector, rat_str
+from .tensorspace import (
+    CyclicVector,
+    SparseTensor,
+    SymplecticSpace,
+    _form,
+    cont_k,
+    cyclic_project,
+    gl_maximal_vector,
+    rat_str,
+)
 
 REPORT_SCHEMA = "detection-report/1"
 
@@ -94,24 +103,48 @@ def detect(family: str, k: int, g: int, force: bool = False) -> DetectionReport:
     Outside the theorem range the run must be forced, and the report is
     flagged; inside the range the candidate is cross-checked against its
     closed form and any mismatch yields an 'inconsistent' verdict.
+
+    Every stage runs on the window of the first w = min(g, t + 2) symplectic
+    pairs, where the seed's letters are 1..t, and extends exactly to genus g.
+    The candidate at g sums one part per pair; a relabelling of the pairs
+    above t fixes omega and the seed and commutes with place permutations,
+    so each part for a pair above w is a relabelled copy of a window part:
+    - candidate and closed form: equal on the window means equal at g;
+    - kernel test: letter-local, and every letter block at g relabels one
+      in the window;
+    - maximality: X_1..X_w on the window meet every kind of raising
+      operator at g (inside the touched pairs, at the boundary X_t, between
+      two untouched pairs, and the long root), and the weight at g is the
+      window weight padded with zeros, as omega has weight 0;
+    - contraction: with B the contraction of the window part for pair w,
+      each pair above w contributes B again, so the image at g is
+      cont_k(phi_w) + (g - w) B, moved into the genus-g alphabet.
     """
     problem = family_preconditions(family, k, g)
     if problem and not force:
         raise ValueError(problem)
     out_of_range = problem is not None
 
-    phi = phi_candidate(family, k, g, check=False)
+    # Reject a bad family, k or g before any work, as the genus-g build would.
+    entry = _family(family)
+    if k < 1 or g < 1:
+        raise ValueError("k and g must be positive")
+    genus = SymplecticSpace(g)
+    w = min(g, entry.partition(k).length + 2)
+    phi = phi_candidate(family, k, w, check=False)
     closed_form_agrees: bool | None = None
     if not out_of_range:
-        closed_form_agrees = phi == closed_form_phi(family, k, g, check=False)
+        closed_form_agrees = phi == closed_form_phi(family, k, w, check=False)
 
     in_kernel = is_in_h(phi, k)
     if phi.is_zero():
         maximal, weight = False, None
     else:
         maximal, weight = is_maximal(phi, "sp")
+        if weight is not None:
+            weight += (0,) * (g - w)
 
-    image = cyclic_project(cont_k(phi))
+    image = cyclic_project(_extend_contraction(phi, genus))
     scalar = image.ratio_to(seed_projection(family, k, g))
 
     if closed_form_agrees is False:
@@ -134,6 +167,32 @@ def detect(family: str, k: int, g: int, force: bool = False) -> DetectionReport:
         out_of_theorem_range=out_of_range,
         verdict=verdict,
     )
+
+
+def _extend_contraction(phi: SparseTensor, genus: SymplecticSpace) -> SparseTensor:
+    """cont_k of the candidate at the given genus whose window part is phi.
+
+    The words holding letter w form the part for pair w; call its
+    contraction B.  The part for a pair above w is a relabelled copy, so it
+    contracts to B too when B holds no letter of pair w.  That holds for a
+    seed without a dual pair, as only pair w can then fill slots 1-2; it is
+    checked here, and a B that holds one raises RuntimeError.
+    """
+    contracted = cont_k(phi)
+    window = _form(phi.n)
+    w = window.g
+    if w == genus.g:
+        return contracted
+    pair = (w, window.dual[w])
+    last = {word: c for word, c in phi._terms.items() if w in word}
+    extra = cont_k(SparseTensor._raw(phi._shape, last))
+    if any(a in word for word in extra._terms for a in pair):
+        raise RuntimeError(f"contraction of the pair-{w} part still holds its letters")
+    contracted = contracted + (genus.g - w) * extra
+    # Move each window dual letter to the dual of the same letter at genus g.
+    table = bytes.maketrans(bytes(window.dual[1 : w + 1]), bytes(genus.dual[1 : w + 1]))
+    moved = {word.translate(table): c for word, c in contracted._terms.items()}
+    return SparseTensor._raw((contracted.degree, genus.n), moved)
 
 
 def uniqueness_context(family: str, k: int, g: int) -> tuple[int, int]:

@@ -165,9 +165,10 @@ def _letter_blocks(tensor: SparseTensor) -> list[SparseTensor]:
 
 def is_lie_element(tensor: SparseTensor) -> bool:
     """Exact test t . theta_m = m t, once per letter block; the zero tensor
-    passes vacuously."""
-    if tensor.degree == 1:
-        return True
+    passes vacuously.  Every degree-1 tensor is a Lie element, and no
+    nonzero degree-0 one is: the free Lie algebra has no degree-0 part."""
+    if tensor.degree < 2:
+        return tensor.degree == 1 or tensor.is_zero()
     m = tensor.degree
     return all(apply_theta(block) == m * block for block in _letter_blocks(tensor))
 

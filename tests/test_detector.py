@@ -3,15 +3,37 @@ from fractions import Fraction
 
 import pytest
 
+import jcokernel.detector as detector_module
 from jcokernel.detector import (
     REPORT_SCHEMA,
+    VERDICT_DETECTED,
+    VERDICT_INCONSISTENT,
+    VERDICT_NOT_DETECTED,
+    DetectionReport,
     detect,
     family_partition,
     seed_projection,
     uniqueness_context,
 )
+from jcokernel.freelie import (
+    averaged_projector,
+    closed_form_phi,
+    family_preconditions,
+    is_in_h,
+    phi_candidate,
+)
 from jcokernel.partitions import Partition
-from jcokernel.tensorspace import peak_terms, reset_peak_terms
+from jcokernel.spweights import is_maximal
+from jcokernel.tensorspace import (
+    SparseTensor,
+    SymplecticSpace,
+    act_perm,
+    cont_k,
+    cyclic_project,
+    omega,
+    peak_terms,
+    reset_peak_terms,
+)
 
 
 def test_symmetric_family_small():
@@ -113,3 +135,134 @@ def test_family_partition_and_seed():
     assert family_partition("[1^k]", 3) == Partition((1, 1, 1))
     assert not seed_projection("[k]", 3, 5).is_zero()
     assert not seed_projection("[1^k]", 5, 7).is_zero()
+
+
+# ------------------------------------------------- full-vector oracle
+#
+# detect works on a window of t+2 symplectic pairs and extends to genus g.
+# The oracle runs every stage on the whole genus-g vector instead.
+
+
+def detect_full_oracle(family, k, g, force=False):
+    problem = family_preconditions(family, k, g)
+    if problem and not force:
+        raise ValueError(problem)
+    out_of_range = problem is not None
+
+    phi = phi_candidate(family, k, g, check=False)
+    closed_form_agrees = None
+    if not out_of_range:
+        closed_form_agrees = phi == closed_form_phi(family, k, g, check=False)
+
+    in_kernel = is_in_h(phi, k)
+    if phi.is_zero():
+        maximal, weight = False, None
+    else:
+        maximal, weight = is_maximal(phi, "sp")
+
+    image = cyclic_project(cont_k(phi))
+    scalar = image.ratio_to(seed_projection(family, k, g))
+
+    if closed_form_agrees is False:
+        verdict = VERDICT_INCONSISTENT
+    elif in_kernel and maximal and not image.is_zero():
+        verdict = VERDICT_DETECTED
+    else:
+        verdict = VERDICT_NOT_DETECTED
+
+    return DetectionReport(
+        family=family,
+        k=k,
+        g=g,
+        in_h=in_kernel,
+        maximal=maximal,
+        weight=weight,
+        contraction_image=image,
+        scalar=scalar,
+        closed_form_agrees=closed_form_agrees,
+        out_of_theorem_range=out_of_range,
+        verdict=verdict,
+    )
+
+
+# Inside the theorem range, then forced runs outside it.  Left out for time:
+# [k] at (33, 35), [1^5] at g=17 and the forced [1^7] at g=9 (w = g there),
+# which agree too but take about 1, 1.4 and 22 s with the oracle.
+WINDOW_GRID = [
+    ("[k]", 3, 5), ("[k]", 5, 7), ("[k]", 7, 9), ("[k]", 11, 13), ("[k]", 15, 17),
+    ("[k]", 3, 9), ("[k]", 9, 40), ("[k]", 5, 60),
+    ("[1^k]", 5, 7), ("[1^k]", 5, 9), ("[1^k]", 5, 10),
+    ("[k]", 4, 6), ("[k]", 3, 4), ("[k]", 2, 3),
+    ("[1^k]", 3, 5), ("[1^k]", 5, 4),
+]
+
+
+@pytest.mark.parametrize("family, k, g", WINDOW_GRID)
+def test_window_detect_matches_full_vector_oracle(family, k, g):
+    assert detect(family, k, g, force=True).to_json() == (
+        detect_full_oracle(family, k, g, force=True).to_json()
+    )
+
+
+@pytest.mark.parametrize(
+    "family, k, g, window", [("[k]", 15, 17, 3), ("[1^k]", 5, 7, 7), ("[1^k]", 5, 9, 7)]
+)
+def test_detect_builds_vectors_on_the_window_only(family, k, g, window, monkeypatch):
+    genera = []
+    for name in ("phi_candidate", "closed_form_phi"):
+        def spy(family, k, g, check=True, _real=getattr(detector_module, name), _name=name):
+            genera.append((_name, g))
+            return _real(family, k, g, check=check)
+
+        monkeypatch.setattr(detector_module, name, spy)
+    assert detector_module.detect(family, k, g).verdict == "detected"
+    assert genera == [("phi_candidate", window), ("closed_form_phi", window)]
+
+
+def _seeded_candidate(letters, genus):
+    """omega (x) the word, averaged; letters below 0 stand for duals."""
+    space = SymplecticSpace(genus)
+    word = [a if a > 0 else space.dual[-a] for a in letters]
+    seed = SparseTensor.basis_word(space.n, word)
+    return act_perm(omega(genus).tensor(seed), averaged_projector(len(word)))
+
+
+@pytest.mark.parametrize("g", [4, 5, 7])
+def test_extended_contraction_moves_dual_letters(g):
+    # The seed e_1 e_2' e_1 touches pairs 1 and 2, so its window has 4 pairs.
+    # The family seeds hold no dual letter; only a seed like this sees the
+    # letters above w move into the genus-g alphabet.
+    window = _seeded_candidate((1, -2, 1), 4)
+    extended = detector_module._extend_contraction(window, SymplecticSpace(g))
+    assert not extended.is_zero()
+    assert extended == cont_k(_seeded_candidate((1, -2, 1), g))
+
+
+def test_extended_contraction_refuses_a_seed_with_a_dual_pair():
+    # In e_1 e_1' e_1 the seed's own pair can fill slots 1-2 and leave the
+    # omega pair behind, so the copies for pairs above w differ.
+    with pytest.raises(RuntimeError, match="pair-3 part"):
+        detector_module._extend_contraction(_seeded_candidate((1, -1, 1), 3), SymplecticSpace(5))
+
+
+# The scalar laws, pinned past the reach of the full-vector path.
+
+
+@pytest.mark.parametrize("g_offset", [2, 7])
+@pytest.mark.parametrize("k", range(3, 34, 2))
+def test_symmetric_scalar_law(k, g_offset):
+    g = k + g_offset
+    report = detect("[k]", k, g)
+    assert report.verdict == "detected"
+    assert report.closed_form_agrees is True
+    assert report.weight == (k,) + (0,) * (g - 1)
+    assert report.scalar == Fraction(-4 * (g - 1))
+
+
+@pytest.mark.parametrize("g", range(7, 13))
+def test_alternating_scalar_law(g):
+    report = detect("[1^k]", 5, g)
+    assert report.verdict == "detected"
+    assert report.closed_form_agrees is True
+    assert report.weight == (1,) * 5 + (0,) * (g - 5)
+    assert report.scalar == Fraction(-4 * (g + 1))

@@ -159,6 +159,16 @@ def test_is_lie_element():
     assert is_lie_element(SparseTensor.zero(3, 4))
 
 
+def test_is_lie_element_in_degrees_zero_and_one():
+    # The free Lie algebra has no degree-0 part: a nonzero scalar is not a
+    # Lie element, while the zero tensor passes vacuously.
+    assert not is_lie_element(SparseTensor(0, 4, {b"": 3}))
+    assert is_lie_element(SparseTensor.zero(0, 4))
+    # Every letter is a Lie element, and so is every sum of letters.
+    assert is_lie_element(SparseTensor(1, 4, {b"\x01": 2, b"\x03": -1}))
+    assert is_lie_element(SparseTensor.zero(1, 4))
+
+
 # -------------------------------------------------------------- membership
 
 
