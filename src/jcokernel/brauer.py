@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import cache
 from math import comb, factorial, prod
 
-from .combinatorics import _matching_expansion, _mn, _pair
+from .combinatorics import _matching_expansion, _mn, _pair, _paired_points
 from .partitions import CycleType, Partition, partitions_of
 from .tensorspace import (
     Coeff,
@@ -198,9 +198,6 @@ class BrauerElement(_Combination):
         self._like(other)
         return self._sum(other, "BrauerElement.add")
 
-    def __sub__(self, other: "BrauerElement") -> "BrauerElement":
-        return self + other * -1
-
     def __mul__(self, other):
         if not isinstance(other, BrauerElement):
             return self._scale(other)
@@ -366,14 +363,6 @@ def _random_tensor(rng, degree: int, n: int, nterms: int = 5) -> SparseTensor:
         word = bytes(rng.randint(1, n) for _ in range(degree))
         terms[word] = terms.get(word, 0) + rng.randint(-4, 4)
     return SparseTensor(degree, n, terms)
-
-
-def _paired_points(lam: Partition, k: int) -> int:
-    """2j = k - |lam|, the points a cell module of B_k joins in pairs."""
-    j2 = k - lam.size
-    if j2 < 0 or j2 % 2:
-        raise ValueError("|lam| must equal k - 2j")
-    return j2
 
 
 def ram_character(lam, cls, g: int) -> int:

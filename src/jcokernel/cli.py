@@ -15,7 +15,7 @@ import sys
 from . import selftest
 from .brauer import ram_character
 from .combinatorics import sp_decomposition, witt_rank
-from .detector import detect
+from .detector import VERDICT_INCONSISTENT, detect
 from .freelie import FAMILIES
 from .partitions import CycleType, Partition, partitions_of
 from .tensorspace import TermLimitError, get_term_limit, set_term_limit
@@ -116,7 +116,7 @@ def cmd_decompose(args: argparse.Namespace, out) -> int:
 def cmd_detect(args: argparse.Namespace, out) -> int:
     report = detect(args.family, args.k, args.g, force=args.force)
     out.write(report.to_json() + "\n")
-    return 1 if report.verdict == "inconsistent" else 0
+    return 1 if report.verdict == VERDICT_INCONSISTENT else 0
 
 
 def cmd_brauer_char(args: argparse.Namespace, out) -> int:

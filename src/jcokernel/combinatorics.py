@@ -444,6 +444,14 @@ def double_factorial_odd(j: int) -> int:
     return result
 
 
+def _paired_points(lam: Partition, k: int) -> int:
+    """2j = k - |lam|, the points a cell module of B_k joins in pairs."""
+    j2 = k - lam.size
+    if j2 < 0 or j2 % 2:
+        raise ValueError(f"|lam| must equal k - 2j, got |lam| = {lam.size}, k = {k}")
+    return j2
+
+
 def brauer_dim(lam, k: int, g: int) -> int:
     """Dimension of the Brauer algebra cell module for lam inside size k.
 
@@ -453,8 +461,5 @@ def brauer_dim(lam, k: int, g: int) -> int:
     lam = Partition(lam)
     if lam.length > g:
         raise ValueError(f"length of lambda exceeds g={g}")
-    j2 = k - lam.size
-    if j2 < 0 or j2 % 2:
-        raise ValueError(f"|lam| must be k-2j, got |lam|={lam.size}, k={k}")
-    j = j2 // 2
+    j = _paired_points(lam, k) // 2
     return comb(k, 2 * j) * double_factorial_odd(j) * syt_count(lam)

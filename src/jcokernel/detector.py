@@ -15,20 +15,18 @@ from fractions import Fraction
 
 from .combinatorics import mult_sp_in_module
 from .freelie import (
-    FAMILIES,
+    _checked_family,
     _family,
     closed_form_phi,
     family_preconditions,
     is_in_h,
     phi_candidate,
 )
-from .partitions import Partition
 from .spweights import Weight, is_maximal
 from .tensorspace import (
     CyclicVector,
     SparseTensor,
     SymplecticSpace,
-    _form,
     cont_k,
     cyclic_project,
     gl_maximal_vector,
@@ -48,15 +46,9 @@ VERDICT_NOT_DETECTED = "not_detected"
 VERDICT_INCONSISTENT = "inconsistent"
 
 
-def family_partition(family: str, k: int) -> Partition:
-    if family not in FAMILIES:
-        raise ValueError(f"family must be one of {FAMILIES}")
-    return _family(family).partition(k)
-
-
 def seed_projection(family: str, k: int, g: int) -> CyclicVector:
     """Rotation-quotient image of the family's seed word."""
-    return cyclic_project(gl_maximal_vector(family_partition(family, k), 2 * g))
+    return cyclic_project(gl_maximal_vector(_family(family).partition(k), 2 * g))
 
 
 @dataclass
@@ -77,21 +69,13 @@ class DetectionReport:
     disclaimer: str = DISCLAIMER
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": REPORT_SCHEMA,
-            "family": self.family,
-            "k": self.k,
-            "g": self.g,
-            "in_h": self.in_h,
-            "maximal": self.maximal,
-            "weight": list(self.weight) if self.weight is not None else None,
-            "contraction_image": self.contraction_image.to_json_dict(),
-            "scalar": rat_str(self.scalar) if self.scalar is not None else None,
-            "closed_form_agrees": self.closed_form_agrees,
-            "out_of_theorem_range": self.out_of_theorem_range,
-            "verdict": self.verdict,
-            "disclaimer": self.disclaimer,
-        }
+        return dict(
+            vars(self),
+            schema=REPORT_SCHEMA,
+            weight=list(self.weight) if self.weight is not None else None,
+            contraction_image=self.contraction_image.to_json_dict(),
+            scalar=rat_str(self.scalar) if self.scalar is not None else None,
+        )
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
@@ -118,17 +102,17 @@ def detect(family: str, k: int, g: int, force: bool = False) -> DetectionReport:
       window weight padded with zeros, as omega has weight 0;
     - contraction: with B the contraction of the window part for pair w,
       each pair above w contributes B again, so the image at g is
-      cont_k(phi_w) + (g - w) B, moved into the genus-g alphabet.
+      cont_k(phi_w) + (g - w) B; both terms are checked to stay on the
+      letters below w, which mean the same at every genus, and the sum is
+      then only widened to the genus-g alphabet.
     """
     problem = family_preconditions(family, k, g)
     if problem and not force:
         raise ValueError(problem)
     out_of_range = problem is not None
 
-    # Reject a bad family, k or g before any work, as the genus-g build would.
-    entry = _family(family)
-    if k < 1 or g < 1:
-        raise ValueError("k and g must be positive")
+    # Reject a bad k or g before any work, as the genus-g build would.
+    entry = _checked_family(family, k, g)
     genus = SymplecticSpace(g)
     w = min(g, entry.partition(k).length + 2)
     phi = phi_candidate(family, k, w, check=False)
@@ -174,32 +158,28 @@ def _extend_contraction(phi: SparseTensor, genus: SymplecticSpace) -> SparseTens
 
     The words holding letter w form the part for pair w; call its
     contraction B.  The part for a pair above w is a relabelled copy, so it
-    contracts to B too when B holds no letter of pair w.  That holds for a
-    seed without a dual pair, as only pair w can then fill slots 1-2; it is
-    checked here, and a B that holds one raises RuntimeError.
+    contracts to B too when B holds no letter of pair w.  The family images
+    lie on the seed's letters 1..t < w, so cont_k(phi) and B are checked to
+    hold only letters below w, which are the same letters at every genus;
+    any other letter raises RuntimeError.
     """
     contracted = cont_k(phi)
-    window = _form(phi.n)
-    w = window.g
+    w = phi.n // 2
     if w == genus.g:
         return contracted
-    pair = (w, window.dual[w])
     last = {word: c for word, c in phi._terms.items() if w in word}
     extra = cont_k(SparseTensor._raw(phi._shape, last))
-    if any(a in word for word in extra._terms for a in pair):
-        raise RuntimeError(f"contraction of the pair-{w} part still holds its letters")
-    contracted = contracted + (genus.g - w) * extra
-    # Move each window dual letter to the dual of the same letter at genus g.
-    table = bytes.maketrans(bytes(window.dual[1 : w + 1]), bytes(genus.dual[1 : w + 1]))
-    moved = {word.translate(table): c for word, c in contracted._terms.items()}
-    return SparseTensor._raw((contracted.degree, genus.n), moved)
+    if any(max(word) >= w for part in (contracted, extra) for word in part._terms):
+        raise RuntimeError(f"contraction image holds a letter at or above w = {w}")
+    total = contracted + (genus.g - w) * extra
+    return SparseTensor._raw((total.degree, genus.n), total._terms)
 
 
 def uniqueness_context(family: str, k: int, g: int) -> tuple[int, int]:
     """Multiplicities of the family's weight in the kernel module and in the
     cyclic quotient; a detected component with kernel multiplicity one is the
     unique copy of that weight."""
-    lam = family_partition(family, k)
+    lam = _family(family).partition(k)
     return (
         mult_sp_in_module(lam, "h", k, g),
         mult_sp_in_module(lam, "cyclic", k, g),

@@ -239,11 +239,18 @@ def _family(family: str) -> _Family:
     return entry
 
 
+def _checked_family(family: str, k: int, g: int) -> _Family:
+    """The family's entry, once k and g are checked to be positive."""
+    entry = _family(family)
+    if k < 1 or g < 1:
+        raise ValueError("k and g must be positive")
+    return entry
+
+
 def family_preconditions(family: str, k: int, g: int) -> str | None:
-    """The violated precondition as a message, or None when admissible."""
-    entry = _FAMILY_TABLE.get(family)
-    if entry is None:
-        return f"family must be one of {FAMILIES}"
+    """The violated precondition as a message, or None when admissible; an
+    unknown family raises ValueError."""
+    entry = _family(family)
     if g < k + 2:
         return f"stable range requires g >= k+2 = {k + 2}, got g = {g}"
     if not entry.admissible(k):
@@ -265,9 +272,7 @@ def phi_candidate(family: str, k: int, g: int, check: bool = True) -> SparseTens
     """
     if check:
         _check_preconditions(family, k, g)
-    partition = _family(family).partition
-    if g < 1 or k < 1:
-        raise ValueError("k and g must be positive")
+    partition = _checked_family(family, k, g).partition
     seed = omega(g).tensor(gl_maximal_vector(partition(k), 2 * g))
     return rotation_orbit_sum(apply_theta_stabilizer(seed, k))
 
@@ -281,7 +286,7 @@ def closed_form_phi(family: str, k: int, g: int, check: bool = True) -> SparseTe
     """
     if check:
         _check_preconditions(family, k, g)
-    entry = _family(family)
+    entry = _checked_family(family, k, g)
     coefficients = entry.coefficients(k)
     n = 2 * g
     base = gl_maximal_vector(entry.partition(k), n)

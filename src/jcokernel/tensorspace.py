@@ -204,6 +204,9 @@ class _Combination:
 
     __mul__ = __rmul__ = _scale
 
+    def __sub__(self, other):
+        return self + other * -1
+
     def terms(self):
         """Terms sorted by key."""
         return sorted(self._terms.items())
@@ -280,9 +283,6 @@ class SparseTensor(_Combination):
         if self._shape != other._shape:
             raise ValueError("add: mismatched degree or alphabet")
         return self._sum(other, "add")
-
-    def __sub__(self, other: "SparseTensor") -> "SparseTensor":
-        return self + (-1) * other
 
     def __neg__(self) -> "SparseTensor":
         return (-1) * self
@@ -384,9 +384,6 @@ class PermAlgebraElement(_Combination):
 
     def __radd__(self, other):
         return self + other
-
-    def __sub__(self, other):
-        return self + (self._coerce(other) * -1)
 
     def __rsub__(self, other):
         return self._coerce(other) + (self * -1)

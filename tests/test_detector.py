@@ -11,11 +11,11 @@ from jcokernel.detector import (
     VERDICT_NOT_DETECTED,
     DetectionReport,
     detect,
-    family_partition,
     seed_projection,
     uniqueness_context,
 )
 from jcokernel.freelie import (
+    _family,
     averaged_projector,
     closed_form_phi,
     family_preconditions,
@@ -131,8 +131,8 @@ def test_uniqueness_context():
 
 
 def test_family_partition_and_seed():
-    assert family_partition("[k]", 4) == Partition((4,))
-    assert family_partition("[1^k]", 3) == Partition((1, 1, 1))
+    assert _family("[k]").partition(4) == Partition((4,))
+    assert _family("[1^k]").partition(3) == Partition((1, 1, 1))
     assert not seed_projection("[k]", 3, 5).is_zero()
     assert not seed_projection("[1^k]", 5, 7).is_zero()
 
@@ -227,22 +227,48 @@ def _seeded_candidate(letters, genus):
     return act_perm(omega(genus).tensor(seed), averaged_projector(len(word)))
 
 
-@pytest.mark.parametrize("g", [4, 5, 7])
-def test_extended_contraction_moves_dual_letters(g):
+def test_extended_contraction_is_cont_k_at_the_window_genus():
     # The seed e_1 e_2' e_1 touches pairs 1 and 2, so its window has 4 pairs.
-    # The family seeds hold no dual letter; only a seed like this sees the
-    # letters above w move into the genus-g alphabet.
     window = _seeded_candidate((1, -2, 1), 4)
-    extended = detector_module._extend_contraction(window, SymplecticSpace(g))
+    extended = detector_module._extend_contraction(window, SymplecticSpace(4))
     assert not extended.is_zero()
-    assert extended == cont_k(_seeded_candidate((1, -2, 1), g))
+    assert extended == cont_k(window)
 
 
-def test_extended_contraction_refuses_a_seed_with_a_dual_pair():
-    # In e_1 e_1' e_1 the seed's own pair can fill slots 1-2 and leave the
-    # omega pair behind, so the copies for pairs above w differ.
-    with pytest.raises(RuntimeError, match="pair-3 part"):
-        detector_module._extend_contraction(_seeded_candidate((1, -1, 1), 3), SymplecticSpace(5))
+@pytest.mark.parametrize("g", [5, 7])
+@pytest.mark.parametrize(
+    "letters, w", [((1, -2, 1), 4), ((1, -1, 1), 3)], ids=["dual_letter", "dual_pair"]
+)
+def test_extended_contraction_refuses_letters_at_or_above_w(letters, w, g):
+    # The image of e_1 e_2' e_1 holds the dual letter 2', which names another
+    # letter at every genus.  In e_1 e_1' e_1 the seed's own pair can fill
+    # slots 1-2 and leave the omega pair w behind in B.  The family seeds do
+    # neither: their images lie on the seed letters 1..t < w.
+    window = _seeded_candidate(letters, w)
+    with pytest.raises(RuntimeError, match=f"letter at or above w = {w}"):
+        detector_module._extend_contraction(window, SymplecticSpace(g))
+
+
+def test_unknown_family_has_one_message():
+    message = "family must be one of ('[k]', '[1^k]'), got 'x'"
+    calls = [
+        lambda: detect("x", 3, 5),
+        lambda: detect("x", 3, 5, force=True),
+        lambda: uniqueness_context("x", 3, 5),
+        lambda: family_preconditions("x", 3, 5),
+        lambda: seed_projection("x", 3, 5),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as error:
+            call()
+        assert str(error.value) == message
+
+
+@pytest.mark.parametrize("k, g", [(0, 3), (-1, 3), (3, 0)])
+def test_both_builders_check_k_and_g(k, g):
+    for build in (phi_candidate, closed_form_phi):
+        with pytest.raises(ValueError, match="k and g must be positive"):
+            build("[k]", k, g, check=False)
 
 
 # The scalar laws, pinned past the reach of the full-vector path.
