@@ -23,9 +23,9 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial, prod
+from math import factorial, prod
 
-from .combinatorics import _matching_expansion, _mn, _pair, _paired_points
+from .combinatorics import _adjoint_exp, _pair, _paired_points
 from .partitions import CycleType, Partition, partitions_of
 from .tensorspace import (
     Coeff,
@@ -335,21 +335,23 @@ def _relation_pairs(k: int, delta: Coeff) -> tuple:
     return tuple(pairs)
 
 
-def check_relations(k: int, g: int, rng=None, panel: int = 3) -> bool:
+def check_relations(k: int, g: int, rng=None) -> bool:
     """Verify every defining relation diagrammatically and as operators.
 
     The operator check applies both sides of each relation to a panel of
-    random sparse tensors via the twisted action.
+    three random sparse tensors via the twisted action.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
+    if g < 1:
+        raise ValueError(f"g must be at least 1, got g = {g}")
     delta = -2 * g
     pairs = _relation_pairs(k, delta)
     for _, lhs, rhs in pairs:
         if lhs != rhs:
             return False
     rng = rng or random.Random(20121123)
-    tensors = [_random_tensor(rng, k, 2 * g) for _ in range(panel)]
+    tensors = [_random_tensor(rng, k, 2 * g) for _ in range(3)]
     for _, lhs, rhs in pairs:
         for t in tensors:
             if act_twisted(t, lhs) != act_twisted(t, rhs):
@@ -371,28 +373,15 @@ def ram_character(lam, cls, g: int) -> int:
     The class acts through the twisted embedding of S_k in B_k(-2g).  By Ram
     (1995) the character is <s_{lam'} prod_{i<=j} (1 - x_i x_j)^-1, p_cls>,
     and the product is exp(sum_m (p_m^2 + p_2m)/(2m)) in power sums.  So it
-    is a sum over the sub-multisets tau of cls with |tau| = k - |lam|: the
-    ways to pick tau, times the perfect matchings fixed by a permutation of
-    type tau, times chi^{lam'}(cls \\ tau).
+    is the adjoint exponential of `combinatorics._adjoint_exp`, with sign +1,
+    applied to p_cls and paired with s_{lam'} in degree |lam|.
     """
     lam, cls = Partition(lam), CycleType(cls)
     if lam.length > g:
         raise ValueError(f"length of lambda exceeds g={g}")
-    j2 = _paired_points(lam, cls.size)
-    lam_conj = lam.conjugate()
-    counts = Counter(cls).items()
-    total = 0
-    for tau in itertools.product(*(range(a + 1) for _, a in counts)):
-        if sum(m * b for (m, _), b in zip(counts, tau)) != j2:
-            continue
-        weight = prod(
-            comb(a, b) * _matching_expansion(m, b, 1).get(0, 0)
-            for (m, a), b in zip(counts, tau)
-        )
-        if weight:
-            rest = tuple(m for (m, a), b in zip(counts, tau) for _ in range(a - b))
-            total += weight * _mn(lam_conj, rest)
-    return total
+    _paired_points(lam, cls.size)
+    terms = _adjoint_exp({tuple(cls): 1}, 1).get(lam.size)
+    return _pair(lam.conjugate(), terms) if terms else 0
 
 
 def restriction_multiset(lam, k: int) -> dict[Partition, int]:

@@ -13,7 +13,9 @@ is built, and enumerating standard tableaux is kept as the test oracle.
 Sp(2g) multiplicities of the named modules come from one power-sum core:
 each module's Frobenius character has a handful of power-sum terms, and
 Littlewood's stable-range rule pairs D^perp of it with Schur functions
-through Murnaghan-Nakayama.  Littlewood-Richardson coefficients and GL to Sp
+through Murnaghan-Nakayama.  D^perp is one adjoint exponential,
+`_adjoint_exp` with sign -1; Ram's Brauer characters (`brauer.py`) apply the
+same routine with sign +1.  Littlewood-Richardson coefficients and GL to Sp
 branching remain public, and the tests use them as the oracle.
 """
 
@@ -186,16 +188,7 @@ def _doubled_partitions(total: int):
 
 def branching_coefficient(lam, mubar, g: int) -> int:
     """Multiplicity of the Sp(2g) irreducible `mubar` in the GL(2g) module `lam`."""
-    lam, mubar = Partition(lam), Partition(mubar)
-    if lam.length > g:
-        raise ValueError(f"length of lambda exceeds g={g}")
-    if mubar.length > g:
-        return 0
-    total = 0
-    for eta in _doubled_partitions(lam.size - mubar.size):
-        if lam.contains(eta):
-            total += lr_coefficient(lam, eta, mubar)
-    return total
+    return gl_to_sp_branching(lam, g).get(Partition(mubar), 0)
 
 
 def gl_to_sp_branching(lam, g: int) -> dict[Partition, int]:
@@ -348,10 +341,12 @@ def _matching_expansion(m: int, a: int, sign: int) -> dict[int, int]:
     """Partial matchings of a factors p_m, as {unmatched count e: weight}.
 
     A matching takes i pairs (weight m each) and, when m is even, j singletons
-    (weight `sign` each): C(a, 2i) (2i-1)!! m^i C(a-2i, j) sign^j ways.  With
-    sign -1 this is exp((m/2) d^2/dp_m^2 - [m even] d/dp_m) applied to p_m^a;
-    with sign +1, entry 0 counts the perfect matchings of a m-cycles' points
-    fixed by the permutation.
+    (weight `sign` each): C(a, 2i) (2i-1)!! m^i C(a-2i, j) sign^j ways.  This
+    is exp((m/2) d^2/dp_m^2 + sign [m even] d/dp_m) applied to p_m^a, the
+    p_m factor of `_adjoint_exp`: sign -1 serves D^perp, sign +1 Ram's Brauer
+    characters.  With sign +1, entry e counts the ways to pick a - e of the
+    a m-cycles of a permutation and a perfect matching of their points that
+    the permutation fixes.
     """
     out: dict[int, int] = {}
     for i in range(a // 2 + 1):
@@ -362,22 +357,20 @@ def _matching_expansion(m: int, a: int, sign: int) -> dict[int, int]:
     return out
 
 
-@cache
-def _sp_character(source: str, k: int) -> dict[int, dict[tuple[int, ...], Fraction]]:
-    """D^perp of the module's Frobenius character, grouped by degree.
+def _adjoint_exp(
+    character: dict[tuple[int, ...], Fraction], sign: int
+) -> dict[int, dict[tuple[int, ...], Fraction]]:
+    """exp(sum_n (n/2) d^2/dp_n^2 + sign d/dp_2n) applied to a power-sum
+    polynomial, the nonzero terms grouped by degree.
 
-    Littlewood's stable-range rule (Macdonald, Symmetric Functions, I.5 Ex. 5;
-    Koike-Terada 1987): the Sp(2g) multiplicity of mu in a GL(2g)-module with
-    character F is <D^perp F, s_mu> for g >= k+2, where
-    D = sum over eta with even columns of s_eta = exp(sum_n (p_n^2 - p_2n)/(2n)).
-    Its adjoint exp(sum_n (n/2) d^2/dp_n^2 - d/dp_2n) factors over the p_m.
-    Each factor lowers the degree by a multiple of m, so the whole exponential
-    is applied before the terms are grouped by degree.
+    This is the adjoint of multiplication by exp(sum_n (p_n^2 + sign p_2n)/(2n)).
+    It factors over the p_m, and each factor lowers the degree by a multiple
+    of m, so the whole exponential is applied before the terms are grouped.
     """
     reduced: dict[tuple[int, ...], Fraction] = {}
-    for rho, c in _frobenius_character(source, k).items():
+    for rho, c in character.items():
         parts = Counter(rho)
-        factors = [_matching_expansion(m, a, -1).items() for m, a in parts.items()]
+        factors = [_matching_expansion(m, a, sign).items() for m, a in parts.items()]
         for choice in itertools.product(*factors):
             coeff = c
             sigma: list[int] = []
@@ -391,6 +384,18 @@ def _sp_character(source: str, k: int) -> dict[int, dict[tuple[int, ...], Fracti
         if c:
             by_degree.setdefault(sum(sigma), {})[sigma] = c
     return by_degree
+
+
+@cache
+def _sp_character(source: str, k: int) -> dict[int, dict[tuple[int, ...], Fraction]]:
+    """D^perp of the module's Frobenius character, grouped by degree.
+
+    Littlewood's stable-range rule (Macdonald, Symmetric Functions, I.5 Ex. 5;
+    Koike-Terada 1987): the Sp(2g) multiplicity of mu in a GL(2g)-module with
+    character F is <D^perp F, s_mu> for g >= k+2, where
+    D = sum over eta with even columns of s_eta = exp(sum_n (p_n^2 - p_2n)/(2n)).
+    """
+    return _adjoint_exp(_frobenius_character(source, k), -1)
 
 
 def _pair(mu: Partition, terms: dict[tuple[int, ...], Fraction]) -> int:

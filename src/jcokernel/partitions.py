@@ -160,13 +160,11 @@ def _partitions_of(n: int, max_part: int, max_length: int) -> tuple[Partition, .
     return tuple(out)
 
 
-def partitions_of(n: int, max_part: int | None = None, max_length: int | None = None):
-    """All partitions of n, optionally capped in largest part and length."""
+def partitions_of(n: int, max_length: int | None = None):
+    """All partitions of n, optionally capped in length."""
     if n < 0:
         return ()
-    return _partitions_of(
-        n, n if max_part is None else max_part, n if max_length is None else max_length
-    )
+    return _partitions_of(n, n, n if max_length is None else max_length)
 
 
 class StandardTableau:

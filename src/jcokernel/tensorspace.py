@@ -111,10 +111,6 @@ class SymplecticSpace:
         if not 1 <= i <= self.n:
             raise ValueError(f"index {i} out of range 1..{self.n}")
 
-    def dual_index(self, i: int) -> int:
-        self._check(i)
-        return self.dual[i]
-
     def dual_basis_vector(self, i: int) -> tuple[int, int]:
         """e_i* as (index, sign): (i', +1) for i <= g, (i', -1) for i > g."""
         self._check(i)

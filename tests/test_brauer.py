@@ -240,6 +240,12 @@ def test_check_relations():
         assert check_relations(k, k + 2)
 
 
+def test_check_relations_rejects_a_genus_below_one():
+    for g in (0, -1):
+        with pytest.raises(ValueError, match=f"g must be at least 1, got g = {g}"):
+            check_relations(3, g)
+
+
 def test_relation_products_are_built_once_per_parameter():
     assert _relation_pairs(4, -8) is _relation_pairs(4, -8)
     assert _relation_pairs(4, -8) is not _relation_pairs(4, -10)
@@ -378,7 +384,7 @@ def test_ram_character_top_layer_reduces_to_symmetric_group():
 def test_ram_character_matches_lr_cell_weights():
     # The Littlewood-Richardson form: sum over nu of (sum over even-row beta of
     # LR^nu_{lam', beta}) chi^nu(cls).
-    for k in range(0, 9):
+    for k in range(0, 10):
         for j in range(0, k // 2 + 1):
             for lam in partitions_of(k - 2 * j):
                 weights = cell_weights(lam, k)
@@ -419,7 +425,7 @@ def test_restriction_multiset():
 
 
 def test_restriction_multiset_matches_lr_cell_weights():
-    for k in range(0, 9):
+    for k in range(0, 10):
         for j in range(0, k // 2 + 1):
             for lam in partitions_of(k - 2 * j):
                 expected = sorted(

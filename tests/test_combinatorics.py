@@ -302,6 +302,14 @@ def test_branching_coefficient_matches_table():
     assert branching_coefficient(lam, (2,), 3) == 0
 
 
+def test_branching_coefficient_edge_cases():
+    # A mubar longer than g is no Sp(2g) weight; a lam longer than g is refused.
+    assert branching_coefficient((2, 1), (1, 1, 1), 2) == 0
+    assert branching_coefficient((2, 2), (1, 1, 1, 1), 2) == 0
+    with pytest.raises(ValueError, match="length of lambda exceeds g=2"):
+        branching_coefficient((1, 1, 1), (1,), 2)
+
+
 # -------------------------------------------------------------- characters
 
 
