@@ -374,14 +374,22 @@ def ram_character(lam, cls, g: int) -> int:
     (1995) the character is <s_{lam'} prod_{i<=j} (1 - x_i x_j)^-1, p_cls>,
     and the product is exp(sum_m (p_m^2 + p_2m)/(2m)) in power sums.  So it
     is the adjoint exponential of `combinatorics._adjoint_exp`, with sign +1,
-    applied to p_cls and paired with s_{lam'} in degree |lam|.
+    applied to p_cls and paired with s_{lam'} in degree |lam|.  That series
+    depends on the class alone, so `_ram_series` computes it once per cycle
+    type and every lam and g reads it.
     """
     lam, cls = Partition(lam), CycleType(cls)
     if lam.length > g:
         raise ValueError(f"length of lambda exceeds g={g}")
     _paired_points(lam, cls.size)
-    terms = _adjoint_exp({tuple(cls): 1}, 1).get(lam.size)
+    terms = _ram_series(cls).get(lam.size)
     return _pair(lam.conjugate(), terms) if terms else 0
+
+
+@cache
+def _ram_series(cls: CycleType) -> dict[int, dict[tuple[int, ...], Fraction]]:
+    """exp(sum_n (n/2) d^2/dp_n^2 + d/dp_2n) p_cls, grouped by degree."""
+    return _adjoint_exp({tuple(cls): 1}, 1)
 
 
 def restriction_multiset(lam, k: int) -> dict[Partition, int]:

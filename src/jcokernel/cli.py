@@ -42,13 +42,13 @@ def _build_parser() -> argparse.ArgumentParser:
     witt = sub.add_parser("witt", help="free Lie ranks by degree")
     witt.add_argument("--n", type=int, required=True)
     witt.add_argument("--k-max", type=int, required=True, dest="k_max")
-    witt.set_defaults(handler=cmd_witt, default_fmt="text")
+    witt.set_defaults(handler=cmd_witt, formats=FORMATS)
 
     dec = sub.add_parser("decompose", help="Sp decomposition of a named module")
     dec.add_argument("--source", choices=("h", "cyclic"), required=True)
     dec.add_argument("--k", type=int, required=True)
     dec.add_argument("--g", type=int, required=True)
-    dec.set_defaults(handler=cmd_decompose, default_fmt="text")
+    dec.set_defaults(handler=cmd_decompose, formats=FORMATS)
 
     det = sub.add_parser("detect", help="run the cokernel detection pipeline")
     det.add_argument("--family", choices=FAMILIES, required=True)
@@ -56,16 +56,16 @@ def _build_parser() -> argparse.ArgumentParser:
     det.add_argument("--g", type=int, required=True)
     det.add_argument("--force", action="store_true",
                      help="run outside the theorem range; flags the report")
-    det.set_defaults(handler=cmd_detect, default_fmt="json")
+    det.set_defaults(handler=cmd_detect, formats=("json",))
 
     bc = sub.add_parser("brauer-char", help="character table of the diagram algebra")
     bc.add_argument("--k", type=int, required=True)
     bc.add_argument("--g", type=int, required=True)
-    bc.set_defaults(handler=cmd_brauer_char, default_fmt="csv")
+    bc.set_defaults(handler=cmd_brauer_char, formats=("csv",))
 
     st = sub.add_parser("selftest", help="run the invariant panels")
     st.add_argument("--level", choices=("fast", "full"), default="fast")
-    st.set_defaults(handler=cmd_selftest, default_fmt="text")
+    st.set_defaults(handler=cmd_selftest, formats=("text",))
     return parser
 
 
@@ -147,7 +147,12 @@ def cmd_selftest(args: argparse.Namespace, out) -> int:
 def main(argv=None, out=None) -> int:
     args = _build_parser().parse_args(argv)
     out = out if out is not None else sys.stdout
-    args.fmt = args.fmt or args.default_fmt
+    # Each command declares the formats it writes; the first is its default.
+    args.fmt = args.fmt or args.formats[0]
+    if args.fmt not in args.formats:
+        print(f"error: {args.command} writes {' or '.join(args.formats)}, "
+              f"not --format {args.fmt}", file=sys.stderr)
+        return 2
     # --watermark applies to this call only; later calls in the same
     # interpreter see the limit that was in force before it.
     previous_limit = get_term_limit()

@@ -7,6 +7,7 @@ ratios as :class:`fractions.Fraction`.
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from functools import cache
 from math import factorial
@@ -19,10 +20,15 @@ class Partition(tuple):
     The empty partition ``Partition()`` is legal everywhere and denotes the
     trivial shape.  Instances are plain tuples, so they hash, compare and
     serialize like tuples; trailing zeros are stripped on construction.
+    Parts must be integers (anything `operator.index` accepts); a float, a
+    Fraction or a string is refused, not truncated.  Like ``tuple(t)``,
+    ``Partition(p)`` returns ``p`` itself when it already is a Partition.
     """
 
     def __new__(cls, parts=()):
-        parts = tuple(int(p) for p in parts)
+        if type(parts) is cls:
+            return parts
+        parts = tuple(map(_integer_part, parts))
         while parts and parts[-1] == 0:
             parts = parts[:-1]
         for a, b in itertools.pairwise(parts):
@@ -48,7 +54,8 @@ class Partition(tuple):
         for part in self:
             for c in range(part):
                 cols[c] += 1
-        return Partition(cols)
+        # Column lengths of a diagram are a partition: skip the validation.
+        return tuple.__new__(Partition, cols)
 
     def contains(self, other) -> bool:
         """Diagram containment: other fits inside self row by row."""
@@ -80,6 +87,13 @@ class Partition(tuple):
 
     def __repr__(self) -> str:
         return f"Partition{tuple(self)}"
+
+
+def _integer_part(p) -> int:
+    try:
+        return operator.index(p)
+    except TypeError:
+        raise ValueError(f"parts must be integers: {p!r}") from None
 
 
 #: A partition of k recording the cycle lengths of a conjugacy class of S_k.

@@ -1,3 +1,4 @@
+import io
 import itertools
 import random
 import re
@@ -9,6 +10,7 @@ import pytest
 from jcokernel.brauer import (
     BrauerDiagram,
     BrauerElement,
+    _ram_series,
     _random_tensor as random_tensor,
     _relation_pairs,
     act_twisted,
@@ -20,6 +22,7 @@ from jcokernel.brauer import (
     restriction_multiset,
     span_equality_check,
 )
+from jcokernel.cli import main
 from jcokernel.combinatorics import _doubled_partitions, brauer_dim, lr_coefficient, sk_character
 from jcokernel.partitions import CycleType, Partition, partitions_of, syt_count
 from jcokernel.tensorspace import (
@@ -391,6 +394,14 @@ def test_ram_character_matches_lr_cell_weights():
                 for cls in partitions_of(k):
                     expected = sum(w * sk_character(nu, cls) for nu, w in weights.items())
                     assert ram_character(lam, cls, k + 2) == expected
+
+
+def test_ram_series_is_computed_once_per_cycle_type():
+    _ram_series.cache_clear()
+    main(["brauer-char", "--k", "9", "--g", "11"], out=io.StringIO())
+    assert _ram_series.cache_info().misses == len(partitions_of(9)) == 30
+    main(["brauer-char", "--k", "9", "--g", "12"], out=io.StringIO())
+    assert _ram_series.cache_info().misses == 30
 
 
 def test_ram_character_checks_its_arguments():

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -185,7 +186,10 @@ def test_watermark_variable_is_the_flag_default(monkeypatch):
 
 
 def test_import_ignores_a_bad_watermark_variable():
-    env = dict(os.environ, JCOKERNEL_WATERMARK="abc")
+    # The child imports the package from this checkout's src/, installed or not.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, JCOKERNEL_WATERMARK="abc", PYTHONPATH=path)
     done = subprocess.run([sys.executable, "-c", "import jcokernel"], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr

@@ -1,6 +1,7 @@
 """Pinned `cli.main` runs: (exit code, sha256 of stdout, stderr).
 
-Every command is covered in text, json and csv, together with a forced run,
+Every command is covered in each format it writes and refused in one it
+does not write (exit 2, nothing on stdout), together with a forced run,
 a precondition failure and watermark trips at several stages of `detect`
 (the seed wedge, the seed tensor product, the `theta_P` fold and the orbit
 sum).  A refactor that is meant to keep every output byte must keep these.
@@ -37,12 +38,18 @@ GOLDEN = [
     ("detect --family [k] --k 5 --g 7", 0,
      "c5db1506e08460d5f0e3d0178f748d9352fe5ab0acd997fd136c0fb10ff1c65b",
      ""),
-    ("--format text detect --family [1^k] --k 5 --g 7", 0,
+    ("--format json detect --family [1^k] --k 5 --g 7", 0,
      "14e7e20034715d2017a09e95c52290f80e98cfa63bfb30c4a6c0d954c6492fca",
      ""),
-    ("--format csv detect --family [k] --k 3 --g 6", 0,
+    ("--format text detect --family [1^k] --k 5 --g 7", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: detect writes json, not --format text\n"),
+    ("detect --family [k] --k 3 --g 6", 0,
      "a07219c8034027418a28ceae131abc45f7934c63a08fd16fdbfa8763b8a31214",
      ""),
+    ("--format csv detect --family [k] --k 3 --g 6", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: detect writes json, not --format csv\n"),
     ("detect --family [1^k] --k 4 --g 6 --force", 0,
      "25fcb663019d4505e940257095f154b54dfbae847c6377da941c32bfe158777d",
      ""),
@@ -52,21 +59,40 @@ GOLDEN = [
     ("brauer-char --k 4 --g 3", 0,
      "dc01f393bd03e9357d613d159c74010382dec490f386801d44b492ca2a7079fd",
      ""),
-    ("--format json brauer-char --k 3 --g 5", 0,
+    ("--format csv brauer-char --k 3 --g 5", 0,
      "659871eb8966f3d8e098aba8f468e0a119022f807967a0381d55682aa1dfb983",
      ""),
-    ("--format text brauer-char --k 2 --g 4", 0,
+    ("--format json brauer-char --k 3 --g 5", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: brauer-char writes csv, not --format json\n"),
+    ("brauer-char --k 2 --g 4", 0,
      "d710f1877a58b4c26bc198ab945c8231ad075cf43721a400999a58d6169b9fef",
+     ""),
+    ("--format text brauer-char --k 2 --g 4", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: brauer-char writes csv, not --format text\n"),
+    # The table class of the long-session benchmark, and a larger table.
+    ("brauer-char --k 9 --g 11", 0,
+     "856dfdd4403ed1d15cd8f3a29bc3788b9336e42562516185da5b4f744678d28a",
+     ""),
+    ("brauer-char --k 12 --g 14", 0,
+     "4de388c90f02d8780205975bf39d85d8f42f9d0b972a27f0923e29cb4820ec49",
      ""),
     ("selftest", 0,
      "7c7eb277bb3e74619551f66bf983d76c29e06bfd66b55ca337fe574bd4b4be3f",
      ""),
-    ("--format json --seed 3 selftest --level fast", 0,
+    ("--format text --seed 3 selftest --level fast", 0,
      "7c7eb277bb3e74619551f66bf983d76c29e06bfd66b55ca337fe574bd4b4be3f",
      ""),
-    ("--format csv selftest --level full", 0,
+    ("--format json --seed 3 selftest --level fast", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: selftest writes text, not --format json\n"),
+    ("selftest --level full", 0,
      "feb099ea775218525891a5611c82a3d1fe118630ef9779e00ec1233e1bafaf11",
      ""),
+    ("--format csv selftest --level full", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: selftest writes text, not --format csv\n"),
     ("--watermark 2000 detect --family [1^k] --k 5 --g 7", 3,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
      "error: add: live term count 3120 exceeds watermark 2000" + RERUN),

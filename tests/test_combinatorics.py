@@ -402,6 +402,12 @@ def test_mult_sp_rejects_unstable_range():
         mult_sp_in_module((3,), "h", 3, 4)
 
 
+def test_mult_sp_refuses_a_non_integral_weight():
+    # It used to answer for (2,), the truncated weight.
+    with pytest.raises(ValueError, match=re.escape("parts must be integers: 2.9")):
+        mult_sp_in_module((2.9,), "h", 3, 5)
+
+
 def test_power_sum_core_matches_lr_oracle():
     # Same entries in the same order, so the CLI bytes cannot move.
     cases = [(s, k) for s in ("h", "cyclic") for k in range(1, 11)]

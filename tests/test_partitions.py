@@ -1,3 +1,6 @@
+import re
+from fractions import Fraction
+
 import pytest
 
 from jcokernel.partitions import (
@@ -13,6 +16,8 @@ from jcokernel.partitions import (
 
 def test_validation():
     assert Partition((3, 1)) == (3, 1)
+    lam = Partition([3, 1])
+    assert type(lam) is Partition and Partition(lam) is lam
     assert Partition(()) == ()
     assert Partition((2, 0, 0)) == (2,)
     with pytest.raises(ValueError):
@@ -21,10 +26,23 @@ def test_validation():
         Partition((2, -1))
 
 
+@pytest.mark.parametrize(
+    "parts, bad",
+    [((2.5, 1), "2.5"), ((2, Fraction(1, 2)), "Fraction(1, 2)"), ("31", "'3'")],
+)
+def test_non_integral_parts_are_refused(parts, bad):
+    with pytest.raises(ValueError, match=re.escape(f"parts must be integers: {bad}")):
+        Partition(parts)
+
+
 def test_conjugate_involution_up_to_size_12():
     for n in range(0, 13):
         for lam in partitions_of(n):
-            assert lam.conjugate().conjugate() == lam
+            conj = lam.conjugate()
+            columns = [sum(1 for part in lam if part > c) for c in range(lam[0] if lam else 0)]
+            assert type(conj) is Partition
+            assert conj == Partition(columns)
+            assert conj.conjugate() == lam
 
 
 def test_conjugate_values():
