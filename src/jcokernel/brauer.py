@@ -1,8 +1,10 @@
 """The Brauer algebra B_k(-2g): diagrams, relations, and its tensor action.
 
-Diagrams are perfect matchings on k top and k bottom points; composition
-stacks two diagrams, removes interior loops, and each loop contributes one
-factor of the parameter delta = -2g.
+Diagrams are perfect matchings on k top and k bottom points, each the
+sorted tuple of its edges.  Composition stacks two diagrams and takes the
+connected components: a path between outer points is an edge of the
+product, and each closed loop of middle points contributes one factor of
+the parameter delta = -2g.
 
 The action on H^(x)k is the sign twisted right action, read straight off a
 diagram.  The tensor enters at the top row and leaves at the bottom: a top
@@ -42,18 +44,28 @@ from .tensorspace import (
 # Points 0..k-1 are the top row, k..2k-1 the bottom row.
 
 
-class BrauerDiagram:
-    """A perfect matching on 2k labelled points, k on top and k on bottom."""
+class BrauerDiagram(tuple):
+    """A perfect matching on 2k labelled points, k on top and k on bottom.
 
-    __slots__ = ("k", "edges")
+    A diagram is its sorted tuple of edges (a, b) with a < b, as a
+    `Partition` is its parts: it equals, hashes and sorts as that tuple, and
+    k is the number of edges.
+    """
 
-    def __init__(self, k: int, edges):
-        canonical = tuple(sorted(tuple(sorted(e)) for e in edges))
+    def __new__(cls, k: int, edges):
+        if k < 0:
+            raise ValueError(f"k must be nonnegative, got k = {k}")
+        canonical = sorted(tuple(sorted(e)) for e in edges)
         points = [p for e in canonical for p in e]
         if sorted(points) != list(range(2 * k)):
             raise ValueError(f"edges must perfectly match 0..{2 * k - 1}")
-        self.k = k
-        self.edges = canonical
+        return super().__new__(cls, canonical)
+
+    k = property(len)
+    edges = property(tuple)
+
+    def __getnewargs__(self):  # pickle and copy call __new__(cls, k, edges)
+        return self.k, self.edges
 
     @classmethod
     def identity(cls, k: int) -> "BrauerDiagram":
@@ -80,30 +92,18 @@ class BrauerDiagram:
     @classmethod
     def from_permutation(cls, k: int, sigma) -> "BrauerDiagram":
         """Diagram whose twisted action equals sgn(sigma) times the place
-        permutation sigma (0-indexed image tuple)."""
+        permutation sigma (0-indexed image tuple of length k)."""
+        if len(sigma) != k:
+            raise ValueError(f"sigma must have length k = {k}, got {len(sigma)}")
         return cls(k, [(sigma[p], k + p) for p in range(k)])
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, BrauerDiagram)
-            and self.k == other.k
-            and self.edges == other.edges
-        )
-
-    def __hash__(self):
-        return hash((self.k, self.edges))
-
-    def __lt__(self, other):
-        return self.edges < other.edges
-
     def __repr__(self):
-        return f"BrauerDiagram(k={self.k}, {list(self.edges)})"
+        return f"BrauerDiagram(k={self.k}, {list(self)})"
 
 
 @cache
 def all_diagrams(k: int) -> tuple[BrauerDiagram, ...]:
-    """All (2k-1)!! perfect matchings on 2k points."""
-    out = []
+    """All (2k-1)!! perfect matchings on 2k points, sorted."""
 
     def match(points):
         if not points:
@@ -114,53 +114,36 @@ def all_diagrams(k: int) -> tuple[BrauerDiagram, ...]:
             for tail in match(rest[:idx] + rest[idx + 1 :]):
                 yield ((first, second),) + tail
 
-    for edges in match(tuple(range(2 * k))):
-        out.append(BrauerDiagram(k, edges))
-    return tuple(sorted(out))
+    return tuple(sorted(BrauerDiagram(k, edges) for edges in match(tuple(range(2 * k)))))
 
 
 def compose_diagrams(d1: BrauerDiagram, d2: BrauerDiagram) -> tuple[BrauerDiagram, int]:
-    """Stack d1 over d2, trace paths, and count removed interior loops.
+    """Stack d1 over d2 and read off the connected components.
 
     Points of the stack: 0..k-1 final top, k..2k-1 the shared middle row,
-    2k..3k-1 final bottom.  `upper` maps each point to its partner in d1,
-    `lower` to its partner in d2 shifted down one row; a path switches
-    diagram at each middle point.  Middle points no path visits close into
-    loops.
+    2k..3k-1 final bottom.  Every point meets at most two edges, so each
+    component is a path or a cycle: a path joins two outer points and is an
+    edge of the product, a cycle of middle points is a loop.  One pass adds
+    the edges of both diagrams, keeping for each path end the path's other
+    end; an edge whose two points are the ends of one path closes a loop.
     """
     if d1.k != d2.k:
         raise ValueError("size mismatch")
     k = d1.k
-    upper, lower = {}, {}
-    for a, b in d1.edges:
-        upper[a], upper[b] = b, a
-    for a, b in d2.edges:
-        lower[a + k], lower[b + k] = b + k, a + k
-    ends: dict[int, int] = {}
-    visited = set()
-    for start in itertools.chain(range(k), range(2 * k, 3 * k)):
-        if start in ends:
-            continue  # already traced from its other end
-        partner = upper if start < k else lower
-        v = partner[start]
-        while k <= v < 2 * k:
-            visited.add(v)
-            partner = lower if partner is upper else upper
-            v = partner[v]
-        ends[start], ends[v] = v, start
+    far = list(range(3 * k))  # far[v]: the other end of the path ending at v
     loops = 0
-    for v in range(k, 2 * k):
-        if v not in visited:
+    for a, b in itertools.chain(d1, ((a + k, b + k) for a, b in d2)):
+        end_a, end_b = far[a], far[b]
+        if end_a == b:
             loops += 1
-            while v not in visited:
-                visited.add(v)
-                visited.add(upper[v])
-                v = lower[upper[v]]
+        else:
+            far[end_a], far[end_b] = end_b, end_a
 
     def relabel(v: int) -> int:
         return v if v < k else v - k
 
-    edges = [(relabel(a), relabel(b)) for a, b in ends.items() if a < b]
+    outer = itertools.chain(range(k), range(2 * k, 3 * k))
+    edges = [(relabel(v), relabel(far[v])) for v in outer if v < far[v]]
     return BrauerDiagram(k, edges), loops
 
 
@@ -228,13 +211,13 @@ def _plan(diagram: BrauerDiagram) -> tuple[int, tuple, tuple, tuple]:
     def place(v: int) -> int:  # boundary order: top left to right, bottom right to left
         return v if v < k else 3 * k - 1 - v
 
-    chords = [sorted(map(place, edge)) for edge in diagram.edges]
+    chords = [sorted(map(place, edge)) for edge in diagram]
     crossings = sum(
         (a < c < b) != (a < d < b) for (a, b), (c, d) in itertools.combinations(chords, 2)
     )
-    cups = tuple((a, b) for a, b in diagram.edges if b < k)
-    through = tuple((a, b - k) for a, b in diagram.edges if a < k <= b)
-    caps = tuple((a - k, b - k) for a, b in diagram.edges if a >= k)
+    cups = tuple((a, b) for a, b in diagram if b < k)
+    through = tuple((a, b - k) for a, b in diagram if a < k <= b)
+    caps = tuple((a - k, b - k) for a, b in diagram if a >= k)
     return (-1) ** (crossings + len(caps)), cups, through, caps
 
 

@@ -181,19 +181,17 @@ def partitions_of(n: int, max_length: int | None = None):
     return _partitions_of(n, n, n if max_length is None else max_length)
 
 
-class StandardTableau:
+class StandardTableau(tuple):
     """A standard filling of a Young diagram by 1..n.
 
     Rows increase left to right, columns increase top to bottom, and every
-    value in 1..n appears exactly once.
+    value in 1..n appears exactly once.  A tableau is the tuple of its rows,
+    as a `Partition` is its parts: it equals, hashes and sorts as that tuple.
     """
 
-    __slots__ = ("rows", "shape")
-
-    def __init__(self, rows):
+    def __new__(cls, rows):
         rows = tuple(tuple(int(v) for v in row) for row in rows)
-        shape = Partition(len(row) for row in rows)
-        n = shape.size
+        n = Partition(map(len, rows)).size
         seen = sorted(itertools.chain.from_iterable(rows))
         if seen != list(range(1, n + 1)):
             raise ValueError("entries must be exactly 1..n")
@@ -205,28 +203,20 @@ class StandardTableau:
             for c in range(len(lower)):
                 if upper[c] >= lower[c]:
                     raise ValueError("columns must increase strictly")
-        self.rows = rows
-        self.shape = shape
+        return super().__new__(cls, rows)
+
+    rows = property(tuple)
+    shape = property(lambda self: Partition(map(len, self)))
 
     @property
     def descents(self) -> list[int]:
         """Entries i such that i+1 sits in a strictly lower row."""
-        n = self.shape.size
-        position = {}
-        for r, row in enumerate(self.rows):
-            for v in row:
-                position[v] = r
-        return [i for i in range(1, n) if position[i + 1] > position[i]]
+        row_of = {v: r for r, row in enumerate(self) for v in row}
+        return [i for i in range(1, len(row_of)) if row_of[i + 1] > row_of[i]]
 
     @property
     def major_index(self) -> int:
         return sum(self.descents)
-
-    def __eq__(self, other):
-        return isinstance(other, StandardTableau) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
 
     def __repr__(self):
         return f"StandardTableau{self.rows}"

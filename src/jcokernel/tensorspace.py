@@ -272,9 +272,6 @@ class SparseTensor(_Combination):
         word = bytes(letters)
         return cls(len(word), n, {word: 1})
 
-    def coefficient(self, letters) -> Coeff:
-        return self._terms.get(bytes(letters), 0)
-
     def __add__(self, other: "SparseTensor") -> "SparseTensor":
         if self._shape != other._shape:
             raise ValueError("add: mismatched degree or alphabet")

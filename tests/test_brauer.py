@@ -1,5 +1,8 @@
+import copy
+import hashlib
 import io
 import itertools
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -81,21 +84,23 @@ def act_generator(tensor, kind, i):
     if kind == "s":
         return act_perm(tensor, PermAlgebraElement.transposition(tensor.degree, i) * -1)
     space = SymplecticSpace(tensor.n // 2)
+    dual, sign = space.dual, space.sign
     inserted = omega(space.g)._terms.items()
     terms = {}
     for word, coeff in tensor._terms.items():
-        value = space.pairing(word[i - 1], word[i])
-        for pair, sign in inserted if value else ():
-            image = word[: i - 1] + pair + word[i + 1 :]
-            terms[image] = terms.get(image, 0) - coeff * value * sign
-    return SparseTensor(tensor.degree, tensor.n, terms)
+        r = word[i - 1]
+        if word[i] == dual[r]:  # <e_r, e_s> = sign[r] iff s = r', else 0
+            for pair, s in inserted:
+                image = word[: i - 1] + pair + word[i + 1 :]
+                terms[image] = terms.get(image, 0) - coeff * sign[r] * s
+    return SparseTensor._raw(tensor._shape, {w: c for w, c in terms.items() if c})
 
 
 def act_by_generator_words(tensor, diagram):
     word, exponent = generator_words(diagram.k)[diagram]
     for kind, i in word:
         tensor = act_generator(tensor, kind, i)
-    return tensor * Fraction(1, (-tensor.n) ** exponent)
+    return tensor * Fraction(1, (-tensor.n) ** exponent) if exponent else tensor
 
 
 def compose_by_edge_ids(d1, d2):
@@ -173,6 +178,56 @@ def test_diagram_counts():
     assert [len(all_diagrams(k)) for k in (1, 2, 3, 4)] == [1, 3, 15, 105]
 
 
+# sha256 of repr([tuple(d.edges) for d in all_diagrams(k)]) for k = 1..5.  The
+# order fixes the order of BrauerElement.terms().
+DIAGRAM_ORDER_DIGESTS = {
+    1: "f5e5441ac66855177e23ba6802804d05ca4f3a9487456a8a77d2f1369f176ae5",
+    2: "6370f0dac7637cdca9b413c7256d88ad3e104ee7d1fcb5d7ddbb6e70ae9fea7e",
+    3: "bb57ab80334e55f4f43e73c497a7724a1bae23192ce31608ce55b33a29ecc5de",
+    4: "1d47bbd5d82c814f8e4ba8035afd1de8170ce54706dfc0a3211ae86d93015904",
+    5: "b5d2b4bcc64ed07f2ace8c4542652cbbc124d4b3f977b3144ba0d0fd2e1b7111",
+}
+
+
+def test_diagram_order_is_pinned():
+    for k, digest in DIAGRAM_ORDER_DIGESTS.items():
+        edges = repr([tuple(d.edges) for d in all_diagrams(k)])
+        assert hashlib.sha256(edges.encode()).hexdigest() == digest, k
+
+
+def test_diagram_is_its_sorted_edge_tuple():
+    d = BrauerDiagram(3, [(5, 1), [2, 0], (4, 3)])
+    assert (d.k, d.edges) == (3, ((0, 2), (1, 5), (3, 4)))
+    assert type(d.edges) is tuple and d == d.edges and hash(d) == hash(d.edges)
+    assert repr(d) == "BrauerDiagram(k=3, [(0, 2), (1, 5), (3, 4)])"
+    assert BrauerDiagram(0, ()) == () and BrauerDiagram(0, ()).k == 0
+    diagrams = all_diagrams(4)
+    assert all(d.k == 4 and d.edges == tuple(d) for d in diagrams)
+    shuffled = random.Random(5).sample(diagrams, len(diagrams))
+    assert sorted(shuffled) == sorted(map(tuple, shuffled)) == list(diagrams)
+
+
+def test_diagram_pickles_and_copies():
+    for d in all_diagrams(3) + (BrauerDiagram(0, ()),):
+        copies = [copy.copy(d), copy.deepcopy(d)]
+        copies += [pickle.loads(pickle.dumps(d, protocol)) for protocol in range(6)]
+        for c in copies:
+            assert type(c) is BrauerDiagram and (c.k, c.edges) == (d.k, d.edges)
+
+
+def test_diagram_constructors_refuse_malformed_input():
+    with pytest.raises(ValueError, match="sigma must have length k = 2, got 3"):
+        BrauerDiagram.from_permutation(2, (1, 0, 5))
+    with pytest.raises(ValueError, match="sigma must have length k = 3, got 2"):
+        BrauerDiagram.from_permutation(3, (1, 0))
+    with pytest.raises(ValueError, match="k must be nonnegative, got k = -1"):
+        BrauerDiagram(-1, ())
+    with pytest.raises(ValueError, match="k must be nonnegative, got k = -1"):
+        all_diagrams(-1)
+    with pytest.raises(ValueError, match="perfectly match"):
+        BrauerDiagram(2, [(0, 1), (1, 2)])
+
+
 def test_compose_examples():
     for k in (2, 3, 4):
         ident = BrauerDiagram.identity(k)
@@ -195,10 +250,12 @@ def test_compose_matches_edge_id_tracing():
         for d1, d2 in itertools.product(diagrams, repeat=2):
             assert compose_diagrams(d1, d2) == compose_by_edge_ids(d1, d2), (d1, d2)
     rng = random.Random(71)
-    diagrams = all_diagrams(5)
-    for _ in range(20_000):
-        d1, d2 = rng.choice(diagrams), rng.choice(diagrams)
-        assert compose_diagrams(d1, d2) == compose_by_edge_ids(d1, d2), (d1, d2)
+    # Samples at k = 5 and at k = 6, where a loop can pass all six middle points.
+    for k, pairs in ((5, 20_000), (6, 5_000)):
+        diagrams = all_diagrams(k)
+        for _ in range(pairs):
+            d1, d2 = rng.choice(diagrams), rng.choice(diagrams)
+            assert compose_diagrams(d1, d2) == compose_by_edge_ids(d1, d2), (d1, d2)
 
 
 def test_diagram_composition_associative():

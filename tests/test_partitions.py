@@ -1,3 +1,5 @@
+import copy
+import pickle
 import re
 from fractions import Fraction
 
@@ -92,6 +94,25 @@ def test_tableau_validation():
         StandardTableau(((2, 1),))
     with pytest.raises(ValueError):
         StandardTableau(((1, 2), (2,)))
+
+
+def test_tableau_is_its_row_tuple():
+    t = StandardTableau([[1, 3], (2,)])
+    assert (t.rows, t.shape) == (((1, 3), (2,)), Partition((2, 1)))
+    assert type(t.rows) is tuple and t == t.rows and hash(t) == hash(t.rows)
+    assert (t.descents, t.major_index, repr(t)) == ([1], 1, "StandardTableau((1, 3), (2,))")
+    assert StandardTableau(()) == () and StandardTableau(()).shape == Partition()
+    tableaux = list(standard_tableaux((3, 2, 1)))
+    assert sorted(tableaux) == sorted(map(tuple, tableaux))
+    assert all(t.shape == (3, 2, 1) and t.rows == tuple(t) for t in tableaux)
+
+
+def test_tableau_pickles_and_copies():
+    for t in standard_tableaux((2, 2)):
+        copies = [copy.copy(t), copy.deepcopy(t)]
+        copies += [pickle.loads(pickle.dumps(t, protocol)) for protocol in range(6)]
+        for c in copies:
+            assert type(c) is StandardTableau and (c.rows, c.shape) == (t.rows, t.shape)
 
 
 def test_major_index_hook_shape():
