@@ -28,7 +28,7 @@ from functools import cache
 from math import factorial, prod
 
 from .combinatorics import _adjoint_exp, _pair, _paired_points
-from .partitions import CycleType, Partition, partitions_of
+from .partitions import CycleType, Partition, _integer, partitions_of
 from .tensorspace import (
     Coeff,
     PermAlgebraElement,
@@ -49,13 +49,13 @@ class BrauerDiagram(tuple):
 
     A diagram is its sorted tuple of edges (a, b) with a < b, as a
     `Partition` is its parts: it equals, hashes and sorts as that tuple, and
-    k is the number of edges.
+    k is the number of edges.  Points must be integers, as parts are.
     """
 
     def __new__(cls, k: int, edges):
         if k < 0:
             raise ValueError(f"k must be nonnegative, got k = {k}")
-        canonical = sorted(tuple(sorted(e)) for e in edges)
+        canonical = sorted(tuple(sorted(_integer(p, "points") for p in e)) for e in edges)
         points = [p for e in canonical for p in e]
         if sorted(points) != list(range(2 * k)):
             raise ValueError(f"edges must perfectly match 0..{2 * k - 1}")
@@ -355,24 +355,38 @@ def ram_character(lam, cls, g: int) -> int:
 
     The class acts through the twisted embedding of S_k in B_k(-2g).  By Ram
     (1995) the character is <s_{lam'} prod_{i<=j} (1 - x_i x_j)^-1, p_cls>,
-    and the product is exp(sum_m (p_m^2 + p_2m)/(2m)) in power sums.  So it
-    is the adjoint exponential of `combinatorics._adjoint_exp`, with sign +1,
-    applied to p_cls and paired with s_{lam'} in degree |lam|.  That series
-    depends on the class alone, so `_ram_series` computes it once per cycle
-    type and every lam and g reads it.
+    and the product is exp(sum_m (p_m^2 + p_2m)/(2m)) in power sums.  The
+    involution omega, with omega(s_{lam'}) = s_lam and omega(p_sigma) =
+    sgn(sigma) p_sigma where sgn(sigma) = (-1)^(|sigma| - len(sigma)), is an
+    isometry and flips the sign of every p_2m.  So the character is also
+    sgn(cls) <s_lam exp(sum_m (p_m^2 - p_2m)/(2m)), p_cls>: the adjoint
+    exponential of `combinatorics._adjoint_exp`, with sign -1, applied to
+    sgn(cls) p_cls and paired with s_lam itself in degree |lam|.  That
+    sign-twisted series depends on the class alone, so `_ram_class` computes
+    it once per cycle type, together with a memo of the values paired so
+    far; a repeated (lam, cls) is a lookup, whatever g.
     """
     lam, cls = Partition(lam), CycleType(cls)
     if lam.length > g:
         raise ValueError(f"length of lambda exceeds g={g}")
-    _paired_points(lam, cls.size)
-    terms = _ram_series(cls).get(lam.size)
-    return _pair(lam.conjugate(), terms) if terms else 0
+    series, values = _ram_class(cls)
+    value = values.get(lam)
+    if value is None:  # a memoized lam has passed the size check for cls
+        _paired_points(lam, cls.size)
+        terms = series.get(lam.size)
+        value = values[lam] = _pair(lam, terms) if terms else 0
+    return value
 
 
 @cache
-def _ram_series(cls: CycleType) -> dict[int, dict[tuple[int, ...], Fraction]]:
-    """exp(sum_n (n/2) d^2/dp_n^2 + d/dp_2n) p_cls, grouped by degree."""
-    return _adjoint_exp({tuple(cls): 1}, 1)
+def _ram_class(cls: CycleType) -> tuple[dict[int, dict[tuple[int, ...], Fraction]], dict]:
+    """(series, values) of one cycle type.
+
+    The series is exp(sum_n (n/2) d^2/dp_n^2 - d/dp_2n) sgn(cls) p_cls, grouped
+    by degree; values maps each lam paired so far to its character.
+    """
+    sign = (-1) ** (cls.size - cls.length)
+    return _adjoint_exp({tuple(cls): sign}, -1), {}
 
 
 def restriction_multiset(lam, k: int) -> dict[Partition, int]:

@@ -28,7 +28,7 @@ class Partition(tuple):
     def __new__(cls, parts=()):
         if type(parts) is cls:
             return parts
-        parts = tuple(map(_integer_part, parts))
+        parts = tuple(map(_integer, parts))
         while parts and parts[-1] == 0:
             parts = parts[:-1]
         for a, b in itertools.pairwise(parts):
@@ -89,11 +89,13 @@ class Partition(tuple):
         return f"Partition{tuple(self)}"
 
 
-def _integer_part(p) -> int:
+def _integer(value, what: str = "parts") -> int:
+    """`operator.index(value)`: a float, a Fraction or a string is refused with
+    a ValueError naming `what`, not truncated."""
     try:
-        return operator.index(p)
+        return operator.index(value)
     except TypeError:
-        raise ValueError(f"parts must be integers: {p!r}") from None
+        raise ValueError(f"{what} must be integers: {value!r}") from None
 
 
 #: A partition of k recording the cycle lengths of a conjugacy class of S_k.
@@ -185,12 +187,15 @@ class StandardTableau(tuple):
     """A standard filling of a Young diagram by 1..n.
 
     Rows increase left to right, columns increase top to bottom, and every
-    value in 1..n appears exactly once.  A tableau is the tuple of its rows,
+    value in 1..n appears exactly once.  Entries must be integers, as parts
+    are, and every row must be nonempty.  A tableau is the tuple of its rows,
     as a `Partition` is its parts: it equals, hashes and sorts as that tuple.
     """
 
     def __new__(cls, rows):
-        rows = tuple(tuple(int(v) for v in row) for row in rows)
+        rows = tuple(tuple(_integer(v, "entries") for v in row) for row in rows)
+        if not all(rows):
+            raise ValueError("rows must be nonempty")
         n = Partition(map(len, rows)).size
         seen = sorted(itertools.chain.from_iterable(rows))
         if seen != list(range(1, n + 1)):

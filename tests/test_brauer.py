@@ -13,7 +13,7 @@ import pytest
 from jcokernel.brauer import (
     BrauerDiagram,
     BrauerElement,
-    _ram_series,
+    _ram_class,
     _random_tensor as random_tensor,
     _relation_pairs,
     act_twisted,
@@ -26,7 +26,14 @@ from jcokernel.brauer import (
     span_equality_check,
 )
 from jcokernel.cli import main
-from jcokernel.combinatorics import _doubled_partitions, brauer_dim, lr_coefficient, sk_character
+from jcokernel.combinatorics import (
+    _adjoint_exp,
+    _doubled_partitions,
+    _pair,
+    brauer_dim,
+    lr_coefficient,
+    sk_character,
+)
 from jcokernel.partitions import CycleType, Partition, partitions_of, syt_count
 from jcokernel.tensorspace import (
     PermAlgebraElement,
@@ -226,6 +233,8 @@ def test_diagram_constructors_refuse_malformed_input():
         all_diagrams(-1)
     with pytest.raises(ValueError, match="perfectly match"):
         BrauerDiagram(2, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match=re.escape("points must be integers: 2.0")):
+        BrauerDiagram(2, [(0, 2.0), (1, 3)])
 
 
 def test_compose_examples():
@@ -453,15 +462,46 @@ def test_ram_character_matches_lr_cell_weights():
                     assert ram_character(lam, cls, k + 2) == expected
 
 
+def test_ram_character_matches_conjugate_pairing():
+    # The untwisted series, paired with lam' as in Ram's formula.
+    for k in range(0, 11):
+        for cls in partitions_of(k):
+            series = _adjoint_exp({tuple(cls): 1}, 1)
+            for j in range(0, k // 2 + 1):
+                for lam in partitions_of(k - 2 * j):
+                    terms = series.get(lam.size)
+                    expected = _pair(lam.conjugate(), terms) if terms else 0
+                    assert ram_character(lam, cls, k) == expected, (lam, cls)
+
+
 def test_ram_series_is_computed_once_per_cycle_type():
-    _ram_series.cache_clear()
+    _ram_class.cache_clear()
     main(["brauer-char", "--k", "9", "--g", "11"], out=io.StringIO())
-    assert _ram_series.cache_info().misses == len(partitions_of(9)) == 30
+    assert _ram_class.cache_info().misses == len(partitions_of(9)) == 30
     main(["brauer-char", "--k", "9", "--g", "12"], out=io.StringIO())
-    assert _ram_series.cache_info().misses == 30
+    assert _ram_class.cache_info().misses == 30
+    # Each entry holds the value of every row of the table: 56 shapes.
+    assert {len(_ram_class(cls)[1]) for cls in partitions_of(9)} == {56}
+
+
+def test_ram_memo_does_not_depend_on_table_order():
+    def table(g):
+        out = io.StringIO()
+        main(["brauer-char", "--k", "9", "--g", str(g)], out=out)
+        return out.getvalue()
+
+    _ram_class.cache_clear()
+    fresh = table(14)
+    _ram_class.cache_clear()
+    small = table(3)
+    # A g=3 table pairs only its own rows, the shapes of length <= 3.
+    assert {len(_ram_class(cls)[1]) for cls in partitions_of(9)} == {small.count("\n") - 1}
+    assert table(14) == fresh
 
 
 def test_ram_character_checks_its_arguments():
+    # A memoized value does not skip the length check.
+    assert ram_character((1, 1, 1), (1, 1, 1), 3) == 1
     with pytest.raises(ValueError, match="length of lambda exceeds g=2"):
         ram_character((1, 1, 1), (1, 1, 1), 2)
     for lam in ((1,), (3,)):

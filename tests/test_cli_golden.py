@@ -71,9 +71,13 @@ GOLDEN = [
     ("--format text brauer-char --k 2 --g 4", 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
      "error: brauer-char writes csv, not --format text\n"),
-    # The table class of the long-session benchmark, and a larger table.
+    # The table class of the long-session benchmark, a small-g table whose
+    # rows stop at length 3, and a larger table.
     ("brauer-char --k 9 --g 11", 0,
      "856dfdd4403ed1d15cd8f3a29bc3788b9336e42562516185da5b4f744678d28a",
+     ""),
+    ("brauer-char --k 12 --g 3", 0,
+     "6797d2efcf5926c86cf2cee0fea7c9657582eb591d09678a9c60628e46c3ea05",
      ""),
     ("brauer-char --k 12 --g 14", 0,
      "4de388c90f02d8780205975bf39d85d8f42f9d0b972a27f0923e29cb4820ec49",

@@ -322,6 +322,16 @@ def test_sk_character_examples():
     assert sk_character((2, 1), (1, 1, 1)) == 2
 
 
+def test_sk_character_of_conjugate_is_sign_twist():
+    # chi^{lam'}(sigma) = sgn(sigma) chi^lam(sigma): the twist ram_character folds
+    # into its series instead of conjugating lam.
+    for n in range(0, 11):
+        for cls in partitions_of(n):
+            sign = (-1) ** (cls.size - cls.length)
+            for lam in partitions_of(n):
+                assert sk_character(lam.conjugate(), cls) == sign * sk_character(lam, cls)
+
+
 def test_sk_character_orthogonality():
     for k in range(1, 8):
         shapes = partitions_of(k)

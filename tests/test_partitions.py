@@ -94,6 +94,14 @@ def test_tableau_validation():
         StandardTableau(((2, 1),))
     with pytest.raises(ValueError):
         StandardTableau(((1, 2), (2,)))
+    with pytest.raises(ValueError, match=re.escape("entries must be integers: 2.9")):
+        StandardTableau(((1, 2.9),))
+    with pytest.raises(ValueError, match=re.escape("entries must be integers: '1'")):
+        StandardTableau((("1",),))
+    with pytest.raises(ValueError, match="rows must be nonempty"):
+        StandardTableau(((1,), ()))
+    with pytest.raises(ValueError, match="rows must be nonempty"):
+        StandardTableau(((),))
 
 
 def test_tableau_is_its_row_tuple():
