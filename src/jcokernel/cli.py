@@ -11,6 +11,7 @@ import csv
 import json
 import os
 import sys
+from functools import cache
 
 from . import selftest
 from .brauer import ram_character
@@ -23,7 +24,10 @@ from .tensorspace import TermLimitError, get_term_limit, set_term_limit
 FORMATS = ("text", "json", "csv")
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first `main` call and reused; the
+    --watermark default is set by `main` on every call."""
     parser = argparse.ArgumentParser(
         prog="jcokernel",
         description="Exact symplectic representation-theory computations.",
@@ -33,7 +37,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--watermark",
         type=int,
-        default=os.environ.get("JCOKERNEL_WATERMARK"),
         help="abort tensor computations whose live term count exceeds this "
         "(default: $JCOKERNEL_WATERMARK, else the library limit)",
     )
@@ -145,7 +148,11 @@ def cmd_selftest(args: argparse.Namespace, out) -> int:
 
 
 def main(argv=None, out=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    # Read on every call, so a changed variable takes effect; argparse still
+    # converts it, and a malformed value is a usage error.
+    parser.set_defaults(watermark=os.environ.get("JCOKERNEL_WATERMARK"))
+    args = parser.parse_args(argv)
     out = out if out is not None else sys.stdout
     # Each command declares the formats it writes; the first is its default.
     args.fmt = args.fmt or args.formats[0]

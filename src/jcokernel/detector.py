@@ -15,12 +15,13 @@ from fractions import Fraction
 
 from .combinatorics import mult_sp_in_module
 from .freelie import (
+    PairBlocks,
     _checked_family,
     _family,
+    candidate_blocks,
     closed_form_phi,
     family_preconditions,
     is_in_h,
-    phi_candidate,
 )
 from .spweights import Weight, is_maximal
 from .tensorspace import (
@@ -90,18 +91,24 @@ def detect(family: str, k: int, g: int, force: bool = False) -> DetectionReport:
 
     Every stage runs on the window of the first w = min(g, t + 2) symplectic
     pairs, where the seed's letters are 1..t, and extends exactly to genus g.
-    The candidate at g sums one part per pair; a relabelling of the pairs
-    above t fixes omega and the seed and commutes with place permutations,
-    so each part for a pair above w is a relabelled copy of a window part:
-    - candidate and closed form: equal on the window means equal at g;
-    - kernel test: letter-local, and every letter block at g relabels one
-      in the window;
-    - maximality: X_1..X_w on the window meet every kind of raising
-      operator at g (inside the touched pairs, at the boundary X_t, between
-      two untouched pairs, and the long root), and the weight at g is the
-      window weight padded with zeros, as omega has weight 0;
-    - contraction: with B the contraction of the window part for pair w,
-      each pair above w contributes B again, so the image at g is
+    The candidate sums one letter block per pair (`candidate_blocks`).  A
+    relabelling of the pairs commutes with place permutations, so a block
+    whose seed words are +-1 times a relabelled copy of an earlier pair's
+    (a check made exactly on the seed) is that pair's block relabelled, and
+    only one block per class is folded.  The same holds for the pairs above
+    w, whose relabelling also fixes the seed:
+    - candidate and closed form: compared on each folded block, against the
+      closed form restricted to that pair; equal there means equal on the
+      window and at g;
+    - kernel test: letter-local, so it runs on the folded blocks, and every
+      letter block at g relabels one of them;
+    - maximality: X_1..X_w on the whole window vector meet every kind of
+      raising operator at g (inside the touched pairs, at the boundary X_t,
+      between two untouched pairs, and the long root); the weight is read
+      from the blocks' letter multisets, and at g it is the window weight
+      padded with zeros, as omega has weight 0;
+    - contraction: with B the contraction of the block of pair w, each pair
+      above w contributes B again, so the image at g is
       cont_k(phi_w) + (g - w) B; both terms are checked to stay on the
       letters below w, which mean the same at every genus, and the sum is
       then only widened to the genus-g alphabet.
@@ -115,20 +122,24 @@ def detect(family: str, k: int, g: int, force: bool = False) -> DetectionReport:
     entry = _checked_family(family, k, g)
     genus = SymplecticSpace(g)
     w = min(g, entry.partition(k).length + 2)
-    phi = phi_candidate(family, k, w, check=False)
+    blocks = candidate_blocks(family, k, w, check=False)
     closed_form_agrees: bool | None = None
     if not out_of_range:
-        closed_form_agrees = phi == closed_form_phi(family, k, w, check=False)
+        closed_form_agrees = all(
+            block == closed_form_phi(family, k, w, check=False, pair=r)
+            for r, block in blocks.folded.items()
+        )
 
-    in_kernel = is_in_h(phi, k)
+    in_kernel = all(is_in_h(block, k) for block in blocks.folded.values())
+    phi = blocks.assemble()
     if phi.is_zero():
         maximal, weight = False, None
     else:
-        maximal, weight = is_maximal(phi, "sp")
+        maximal, weight = is_maximal(phi, "sp", blocks.multisets())
         if weight is not None:
             weight += (0,) * (g - w)
 
-    image = cyclic_project(_extend_contraction(phi, genus))
+    image = cyclic_project(_extend_contraction(phi, blocks, genus))
     scalar = image.ratio_to(seed_projection(family, k, g))
 
     if closed_form_agrees is False:
@@ -153,22 +164,23 @@ def detect(family: str, k: int, g: int, force: bool = False) -> DetectionReport:
     )
 
 
-def _extend_contraction(phi: SparseTensor, genus: SymplecticSpace) -> SparseTensor:
-    """cont_k of the candidate at the given genus whose window part is phi.
+def _extend_contraction(
+    phi: SparseTensor, blocks: PairBlocks, genus: SymplecticSpace
+) -> SparseTensor:
+    """cont_k of the candidate at the given genus whose window part is phi,
+    with letter blocks `blocks`.
 
-    The words holding letter w form the part for pair w; call its
-    contraction B.  The part for a pair above w is a relabelled copy, so it
-    contracts to B too when B holds no letter of pair w.  The family images
-    lie on the seed's letters 1..t < w, so cont_k(phi) and B are checked to
-    hold only letters below w, which are the same letters at every genus;
-    any other letter raises RuntimeError.
+    Call B the contraction of the block of pair w.  The block of a pair above
+    w is a relabelled copy, so it contracts to B too when B holds no letter
+    of pair w.  The family images lie on the seed's letters 1..t < w, so
+    cont_k(phi) and B are checked to hold only letters below w, which are
+    the same letters at every genus; any other letter raises RuntimeError.
     """
     contracted = cont_k(phi)
     w = phi.n // 2
     if w == genus.g:
         return contracted
-    last = {word: c for word, c in phi._terms.items() if w in word}
-    extra = cont_k(SparseTensor._raw(phi._shape, last))
+    extra = cont_k(blocks.block(w))
     if any(max(word) >= w for part in (contracted, extra) for word in part._terms):
         raise RuntimeError(f"contraction image holds a letter at or above w = {w}")
     total = contracted + (genus.g - w) * extra

@@ -21,6 +21,8 @@ from .tensorspace import (
     PermAlgebraElement,
     SparseTensor,
     _accumulate,
+    _form,
+    _note_terms,
     act_perm,
     expansion,
     gl_maximal_vector,
@@ -264,25 +266,141 @@ def _check_preconditions(family: str, k: int, g: int) -> None:
         raise ValueError(problem)
 
 
-def phi_candidate(family: str, k: int, g: int, check: bool = True) -> SparseTensor:
-    """Seed vector pushed into the bracket-map kernel by the averaged projector.
+def _swap_pairs(n: int, r: int, j: int) -> bytes:
+    """The letter table that swaps pair r with pair j: r <-> j and r' <-> j'."""
+    dual = _form(n).dual
+    return bytes.maketrans(bytes((r, j, dual[r], dual[j])), bytes((j, r, dual[j], dual[r])))
+
+
+def _relabelled(terms: dict, table: bytes, eps: int):
+    """The terms with their words relabelled by table, times eps."""
+    return ((word.translate(table), eps * coeff) for word, coeff in terms.items())
+
+
+def _copy_sign(source: dict, target: dict, table: bytes) -> int:
+    """eps in (1, -1) with source relabelled by table equal to eps * target,
+    or 0 when neither sign makes them equal."""
+    moved = dict(_relabelled(source, table, 1))
+    if moved == target:
+        return 1
+    return -1 if moved == {word: -coeff for word, coeff in target.items()} else 0
+
+
+@dataclass(frozen=True)
+class PairBlocks:
+    """A candidate (omega (x) seed) . x as one letter block per symplectic pair.
+
+    omega sums one term per pair, so the candidate is the sum of blocks, the
+    block of pair j holding the images of the seed words whose omega letters
+    are j and j'.  Their letter multisets differ from pair to pair, so the
+    blocks have disjoint supports.  A relabelling of the letters commutes with
+    every place permutation, so when swapping pair r with pair j maps the
+    seed words of pair r onto eps times those of pair j, block j is block r
+    relabelled the same way, times eps.  `folded` maps each representative
+    pair r to its block, computed; `copies[j - 1]` is (r, eps) for pair j,
+    and (j, 1) for a representative.
+    """
+
+    shape: tuple[int, int]
+    folded: dict[int, SparseTensor]
+    copies: tuple[tuple[int, int], ...]
+
+    def block(self, j: int) -> SparseTensor:
+        """The block of pair j."""
+        r, eps = self.copies[j - 1]
+        table = _swap_pairs(self.shape[1], r, j)
+        return SparseTensor._raw(self.shape, dict(_relabelled(self.folded[r]._terms, table, eps)))
+
+    def assemble(self) -> SparseTensor:
+        """The whole candidate.  Its size is the sum of the block sizes, and
+        is noted to the watermark before any word is copied."""
+        _note_terms(sum(len(self.folded[r]._terms) for r, _ in self.copies), "assemble")
+        n = self.shape[1]
+        out: dict[bytes, Coeff] = {}
+        for j, (r, eps) in enumerate(self.copies, 1):
+            out.update(_relabelled(self.folded[r]._terms, _swap_pairs(n, r, j), eps))
+        return SparseTensor._raw(self.shape, out)
+
+    def multisets(self) -> set[bytes]:
+        """The letter multisets of the candidate's words, read once per
+        representative and relabelled for its copies (letters unordered)."""
+        n = self.shape[1]
+        read = {r: set(map(bytes, map(sorted, block._terms))) for r, block in self.folded.items()}
+        return {
+            letters.translate(_swap_pairs(n, r, j))
+            for j, (r, _) in enumerate(self.copies, 1)
+            for letters in read[r]
+        }
+
+
+def _pair_blocks(seed: SparseTensor, k: int) -> PairBlocks:
+    """(omega (x) t) . theta_P (1 + sigma + ... + sigma^(k+1)) as letter blocks.
+
+    `seed` is omega (x) t for a degree-k tensor t whose words share one
+    letter multiset, as a GL maximal vector's do, so the first two letters
+    of each word name its pair and the blocks have disjoint supports; any
+    other seed raises ValueError.  Pair j reuses the first earlier
+    representative r whose seed words, with pair r swapped for pair j, are
+    exactly +-1 times those of pair j; otherwise its block is folded and
+    orbit-summed from its seed words.
+    """
+    n = seed.n
+    dual = _form(n).dual
+    terms = seed._terms
+    if len({bytes(sorted(word[2:])) for word in terms}) > 1 or any(
+        word[1] != dual[word[0]] for word in terms
+    ):
+        raise ValueError("seed must be omega (x) t, the words of t sharing one letter multiset")
+    parts: dict[int, dict[bytes, Coeff]] = {}
+    for word, coeff in terms.items():
+        parts.setdefault(min(word[0], dual[word[0]]), {})[word] = coeff
+    folded: dict[int, SparseTensor] = {}
+    copies = []
+    for j in range(1, n // 2 + 1):
+        part = parts.get(j, {})
+        for r in folded:
+            eps = _copy_sign(parts.get(r, {}), part, _swap_pairs(n, r, j))
+            if eps:
+                copies.append((r, eps))
+                break
+        else:
+            block = SparseTensor._raw(seed._shape, part)
+            folded[j] = rotation_orbit_sum(apply_theta_stabilizer(block, k))
+            copies.append((j, 1))
+    return PairBlocks(seed._shape, folded, tuple(copies))
+
+
+def candidate_blocks(family: str, k: int, g: int, check: bool = True) -> PairBlocks:
+    """The family's candidate at genus g, as letter blocks (`_pair_blocks`).
 
     The seed is omega (x) the GL maximal vector of the family's partition:
     omega (x) e_1^(x)k for family "[k]" and omega (x) wedge for family "[1^k]".
+    For "[1^k]" the wedge is antisymmetric, so the pairs it touches copy pair
+    1 with eps = -1, and the pairs above k copy pair k + 1.
     """
     if check:
         _check_preconditions(family, k, g)
     partition = _checked_family(family, k, g).partition
     seed = omega(g).tensor(gl_maximal_vector(partition(k), 2 * g))
-    return rotation_orbit_sum(apply_theta_stabilizer(seed, k))
+    return _pair_blocks(seed, k)
 
 
-def closed_form_phi(family: str, k: int, g: int, check: bool = True) -> SparseTensor:
+def phi_candidate(family: str, k: int, g: int, check: bool = True) -> SparseTensor:
+    """Seed vector pushed into the bracket-map kernel by the averaged projector,
+    assembled from its letter blocks (`candidate_blocks`)."""
+    return candidate_blocks(family, k, g, check).assemble()
+
+
+def closed_form_phi(
+    family: str, k: int, g: int, check: bool = True, pair: int | None = None
+) -> SparseTensor:
     """Explicit double-sum form of the candidate vector.
 
     2 sum_{i=1}^{k+1} sum_{r=1}^{k-i+2} sign(r) binom(r) (seed word) . D_{i,i+r}
     with sign (-1)^(r-1), binom C(k, r-1) for family "[k]" and sign
     (-1)^[r = 2,3 mod 4], binom C((k-1)/2, floor((r-1)/2)) for family "[1^k]".
+    With `pair`, each D inserts that pair's letters only, which gives the
+    candidate's letter block for the pair.
     """
     if check:
         _check_preconditions(family, k, g)
@@ -294,6 +412,6 @@ def closed_form_phi(family: str, k: int, g: int, check: bool = True) -> SparseTe
     for i in range(1, k + 2):
         for r in range(1, k - i + 3):
             scale = 2 * coefficients[r - 1]
-            terms = expansion(base, i, i + r)._terms.items()
+            terms = expansion(base, i, i + r, pair)._terms.items()
             _accumulate(total, ((word, coeff * scale) for word, coeff in terms), "add")
     return SparseTensor._raw((k + 2, n), total)

@@ -150,8 +150,9 @@ def _accumulate(out: dict, pairs, operation: str) -> dict:
     """Sum (key, coeff) pairs into out, dropping keys whose sum is zero.
 
     Reports live terms to the watermark once per call; the only other
-    reporters are the builders whose terms cannot collide, `tensor` and the
-    one-permutation `act_perm`.
+    reporters are the builders whose terms cannot collide, `wedge`, `tensor`
+    and the one-permutation `act_perm`, and the candidate's assembly in
+    `freelie`.
     """
     get = out.get
     for key, coeff in pairs:
@@ -281,14 +282,16 @@ class SparseTensor(_Combination):
         return (-1) * self
 
     def tensor(self, other: "SparseTensor") -> "SparseTensor":
-        """Tensor product; degrees add."""
+        """Tensor product; degrees add.  The |a| * |b| products are distinct
+        words with nonzero coefficients, so that count is noted to the
+        watermark before any is built."""
         if self.n != other.n:
             raise ValueError("tensor: mismatched alphabet")
+        _note_terms(len(self._terms) * len(other._terms), "tensor")
         out: dict[bytes, Coeff] = {}
         for w1, c1 in self._terms.items():
             for w2, c2 in other._terms.items():
                 out[w1 + w2] = c1 * c2
-        _note_terms(len(out), "tensor")
         return SparseTensor._raw((self.degree + other.degree, self.n), out)
 
     def to_json(self) -> str:
@@ -449,17 +452,22 @@ def omega(g: int) -> SparseTensor:
 def wedge(indices, n: int) -> SparseTensor:
     """Antisymmetrizer: sum of sgn(sigma) permutations of the given word.
 
-    A repeated index yields the zero tensor.
+    A repeated index yields the zero tensor.  Otherwise the k! words are
+    distinct, so that count is noted to the watermark, under the name of the
+    tensor it makes, before any is built.
     """
     indices = tuple(indices)
-    _check_alphabet(len(indices), n)
-    if len(set(indices)) != len(indices):
-        return SparseTensor.zero(len(indices), n)
-    terms: dict[bytes, Coeff] = {}
-    for sigma in itertools.permutations(range(len(indices))):
-        word = bytes(indices[p] for p in sigma)
-        terms[word] = _perm_sign(sigma)
-    return SparseTensor(len(indices), n, terms)
+    k = len(indices)
+    _check_alphabet(k, n)
+    if len(set(indices)) != k:
+        return SparseTensor.zero(k, n)
+    word = _checked_word(indices, k, n)
+    _note_terms(factorial(k), "SparseTensor")
+    terms = {
+        bytes(map(word.__getitem__, sigma)): _perm_sign(sigma)
+        for sigma in itertools.permutations(range(k))
+    }
+    return SparseTensor._raw((k, n), terms)
 
 
 @cache
@@ -468,15 +476,20 @@ def _dual_letters(n: int) -> tuple[tuple[bytes, bytes, int], ...]:
     return tuple((bytes((r,)), bytes((rdual,)), sign) for r, rdual, sign in _form(n).pairs)
 
 
-def expansion(tensor: SparseTensor, i: int, j: int) -> SparseTensor:
+def expansion(tensor: SparseTensor, i: int, j: int, pair: int | None = None) -> SparseTensor:
     """The (i, j)-expansion: insert e_r at slot i and e_r* at slot j, summed over r.
 
-    Original factors shift to fill the remaining k slots in order.
+    Original factors shift to fill the remaining k slots in order.  With
+    `pair` = p, the sum runs over the two letters p and p' of that pair only.
     """
     k = tensor.degree
     if not 1 <= i < j <= k + 2:
         raise ValueError(f"need 1 <= i < j <= {k + 2}, got ({i}, {j})")
     letters = _dual_letters(tensor.n)
+    if pair is not None:
+        if not 1 <= pair <= tensor.n // 2:
+            raise ValueError(f"pair {pair} out of range 1..{tensor.n // 2}")
+        letters = (letters[pair - 1], letters[_form(tensor.n).dual[pair] - 1])
     # The original word splits around the inserted slots i and j.
     a, b = i - 1, j - 2
     pieces = [(word[:a], word[a:b], word[b:], coeff) for word, coeff in tensor._terms.items()]

@@ -185,6 +185,15 @@ def test_watermark_variable_is_the_flag_default(monkeypatch):
     assert code == 0
 
 
+def test_detect_refuses_the_seed_wedge_before_building_it(monkeypatch, capsys):
+    # The [1^13] seed wedge would hold 13! = 6227020800 words; the default
+    # watermark refuses it from that count alone, before any is built.
+    monkeypatch.delenv("JCOKERNEL_WATERMARK", raising=False)
+    code, text = run_cli("detect", "--force", "--family", "[1^k]", "--k", "13", "--g", "15")
+    assert code == 3 and text == ""
+    assert "live term count 6227020800 exceeds watermark" in capsys.readouterr().err
+
+
 def test_import_ignores_a_bad_watermark_variable():
     # The child imports the package from this checkout's src/, installed or not.
     src = str(Path(__file__).resolve().parents[1] / "src")

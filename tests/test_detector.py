@@ -16,11 +16,15 @@ from jcokernel.detector import (
 )
 from jcokernel.freelie import (
     _family,
+    _pair_blocks,
+    apply_theta_stabilizer,
     averaged_projector,
+    candidate_blocks,
     closed_form_phi,
     family_preconditions,
     is_in_h,
     phi_candidate,
+    rotation_orbit_sum,
 )
 from jcokernel.partitions import Partition
 from jcokernel.spweights import is_maximal
@@ -30,6 +34,7 @@ from jcokernel.tensorspace import (
     act_perm,
     cont_k,
     cyclic_project,
+    gl_maximal_vector,
     omega,
     peak_terms,
     reset_peak_terms,
@@ -52,7 +57,7 @@ def test_alternating_family_flagship():
     report = detect("[1^k]", 5, 7)
     # The largest live support any step builds; pinned so that a change to
     # how sums are formed or reported cannot move the watermark unseen.
-    assert peak_terms() == 18960
+    assert peak_terms() == 16800
     assert report.verdict == "detected"
     assert report.weight == (1, 1, 1, 1, 1, 0, 0)
     assert report.scalar == Fraction(-4 * (7 + 1))
@@ -79,7 +84,7 @@ def test_alternating_family_scalar_tracks_genus():
 def test_inconsistent_verdict_when_routes_disagree(monkeypatch):
     import jcokernel.detector as detector_module
 
-    def broken_closed_form(family, k, g, check=True):
+    def broken_closed_form(family, k, g, check=True, pair=None):
         from jcokernel.tensorspace import SparseTensor
 
         return SparseTensor.zero(k + 2, 2 * g)
@@ -139,8 +144,15 @@ def test_family_partition_and_seed():
 
 # ------------------------------------------------- full-vector oracle
 #
-# detect works on a window of t+2 symplectic pairs and extends to genus g.
-# The oracle runs every stage on the whole genus-g vector instead.
+# detect works on a window of t+2 symplectic pairs, folds one letter block
+# per class of pairs, and extends to genus g.  The oracle folds the whole
+# genus-g vector at once and runs every stage on it instead.
+
+
+def full_candidate(family, k, g):
+    """The candidate folded and orbit-summed as one vector, without blocks."""
+    seed = omega(g).tensor(gl_maximal_vector(_family(family).partition(k), 2 * g))
+    return rotation_orbit_sum(apply_theta_stabilizer(seed, k))
 
 
 def detect_full_oracle(family, k, g, force=False):
@@ -149,7 +161,7 @@ def detect_full_oracle(family, k, g, force=False):
         raise ValueError(problem)
     out_of_range = problem is not None
 
-    phi = phi_candidate(family, k, g, check=False)
+    phi = full_candidate(family, k, g)
     closed_form_agrees = None
     if not out_of_range:
         closed_form_agrees = phi == closed_form_phi(family, k, g, check=False)
@@ -204,35 +216,94 @@ def test_window_detect_matches_full_vector_oracle(family, k, g):
     )
 
 
-@pytest.mark.parametrize(
-    "family, k, g, window", [("[k]", 15, 17, 3), ("[1^k]", 5, 7, 7), ("[1^k]", 5, 9, 7)]
-)
-def test_detect_builds_vectors_on_the_window_only(family, k, g, window, monkeypatch):
-    genera = []
-    for name in ("phi_candidate", "closed_form_phi"):
-        def spy(family, k, g, check=True, _real=getattr(detector_module, name), _name=name):
-            genera.append((_name, g))
-            return _real(family, k, g, check=check)
+@pytest.mark.parametrize("family, k, g", WINDOW_GRID)
+def test_assembled_window_vector_matches_full_construction(family, k, g):
+    w = min(g, _family(family).partition(k).length + 2)
+    phi = phi_candidate(family, k, w, check=False)
+    assert phi == full_candidate(family, k, w)
+    if family_preconditions(family, k, g) is None:
+        assert phi == closed_form_phi(family, k, w, check=False)
 
-        monkeypatch.setattr(detector_module, name, spy)
+
+WINDOW_BLOCKS = [
+    ("[k]", 15, 17, 3, [1, 2]),
+    ("[1^k]", 5, 7, 7, [1, 6]),
+    ("[1^k]", 5, 9, 7, [1, 6]),
+]
+
+
+@pytest.mark.parametrize(
+    "family, k, g, window, folded",
+    WINDOW_BLOCKS,
+    ids=["-".join(map(str, case[:4])) for case in WINDOW_BLOCKS],
+)
+def test_detect_builds_vectors_on_the_window_only(family, k, g, window, folded, monkeypatch):
+    calls = []
+
+    def blocks_spy(family, k, g, check=True, _real=candidate_blocks):
+        blocks = _real(family, k, g, check=check)
+        calls.append(("candidate_blocks", g, sorted(blocks.folded)))
+        return blocks
+
+    def closed_form_spy(family, k, g, check=True, pair=None, _real=closed_form_phi):
+        calls.append(("closed_form_phi", g, pair))
+        return _real(family, k, g, check=check, pair=pair)
+
+    monkeypatch.setattr(detector_module, "candidate_blocks", blocks_spy)
+    monkeypatch.setattr(detector_module, "closed_form_phi", closed_form_spy)
     assert detector_module.detect(family, k, g).verdict == "detected"
-    assert genera == [("phi_candidate", window), ("closed_form_phi", window)]
+    assert calls == [("candidate_blocks", window, folded)] + [
+        ("closed_form_phi", window, pair) for pair in folded
+    ]
+
+
+def _seeded_seed(letters, genus):
+    """omega (x) the word; letters below 0 stand for duals."""
+    space = SymplecticSpace(genus)
+    word = [a if a > 0 else space.dual[-a] for a in letters]
+    return omega(genus).tensor(SparseTensor.basis_word(space.n, word))
 
 
 def _seeded_candidate(letters, genus):
-    """omega (x) the word, averaged; letters below 0 stand for duals."""
-    space = SymplecticSpace(genus)
-    word = [a if a > 0 else space.dual[-a] for a in letters]
-    seed = SparseTensor.basis_word(space.n, word)
-    return act_perm(omega(genus).tensor(seed), averaged_projector(len(word)))
+    """The seed averaged as one vector, by the assembled projector."""
+    return act_perm(_seeded_seed(letters, genus), averaged_projector(len(letters)))
+
+
+def _seeded_blocks(letters, genus):
+    return _pair_blocks(_seeded_seed(letters, genus), len(letters))
+
+
+@pytest.mark.parametrize(
+    "letters, genus, folded",
+    [((1, -2, 3), 3, [1, 2, 3]), ((1, -2, 1), 4, [1, 2, 3]), ((1, -1, 1), 3, [1, 2])],
+)
+def test_blocks_of_seeds_without_the_family_symmetry(letters, genus, folded):
+    # e_1 e_2' e_3 at genus 3 relabels onto itself under no swap of pairs, so
+    # every block is folded; in the others the untouched pairs still copy.
+    blocks = _seeded_blocks(letters, genus)
+    assert sorted(blocks.folded) == folded
+    assert blocks.assemble() == _seeded_candidate(letters, genus)
+
+
+def test_blocks_refuse_a_seed_whose_pairs_could_overlap():
+    # Words of t with two letter multisets, {1, 1'} and {2, 2'}, give pair 1
+    # and pair 2 the same multiset {1, 1', 2, 2'}; a seed not of the form
+    # omega (x) t has no pair per word.
+    space = SymplecticSpace(3)
+    mixed = SparseTensor(2, 6, {(1, space.dual[1]): 1, (2, space.dual[2]): 1})
+    plain = SparseTensor.basis_word(6, (1, 2, 3))
+    for seed, k in ((omega(3).tensor(mixed), 2), (plain, 1)):
+        with pytest.raises(ValueError, match="seed must be omega"):
+            _pair_blocks(seed, k)
 
 
 def test_extended_contraction_is_cont_k_at_the_window_genus():
     # The seed e_1 e_2' e_1 touches pairs 1 and 2, so its window has 4 pairs.
-    window = _seeded_candidate((1, -2, 1), 4)
-    extended = detector_module._extend_contraction(window, SymplecticSpace(4))
+    blocks = _seeded_blocks((1, -2, 1), 4)
+    window = blocks.assemble()
+    extended = detector_module._extend_contraction(window, blocks, SymplecticSpace(4))
     assert not extended.is_zero()
-    assert extended == cont_k(window)
+    assert extended == cont_k(_seeded_candidate((1, -2, 1), 4))
 
 
 @pytest.mark.parametrize("g", [5, 7])
@@ -244,9 +315,9 @@ def test_extended_contraction_refuses_letters_at_or_above_w(letters, w, g):
     # letter at every genus.  In e_1 e_1' e_1 the seed's own pair can fill
     # slots 1-2 and leave the omega pair w behind in B.  The family seeds do
     # neither: their images lie on the seed letters 1..t < w.
-    window = _seeded_candidate(letters, w)
+    blocks = _seeded_blocks(letters, w)
     with pytest.raises(RuntimeError, match=f"letter at or above w = {w}"):
-        detector_module._extend_contraction(window, SymplecticSpace(g))
+        detector_module._extend_contraction(blocks.assemble(), blocks, SymplecticSpace(g))
 
 
 def test_unknown_family_has_one_message():

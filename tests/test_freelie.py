@@ -15,6 +15,7 @@ from jcokernel.freelie import (
     apply_theta,
     apply_theta_stabilizer,
     averaged_projector,
+    candidate_blocks,
     closed_form_phi,
     full_cycle,
     is_in_h,
@@ -317,6 +318,23 @@ def test_detect_vectors_reduce_to_few_blocks(family, k, g, sizes):
     # only: 16, 7 and 12 letter multisets collapse to 1, 2 and 1.
     blocks = _letter_blocks(phi_candidate(family, k, g))
     assert sorted(block.support_size() for block in blocks) == sizes
+
+
+def test_alternating_blocks_copy_pair_one_with_the_wedge_sign():
+    # Swapping pair 1 with a pair the wedge touches negates the wedge; the
+    # pairs above k copy pair k + 1 unchanged.
+    blocks = candidate_blocks(FAMILY_ALTERNATING, 5, 7)
+    assert blocks.copies == ((1, 1), (1, -1), (1, -1), (1, -1), (1, -1), (6, 1), (6, 1))
+    assert [blocks.folded[r].support_size() for r in (1, 6)] == [1344, 5040]
+
+
+@pytest.mark.parametrize(
+    "family, k, g", [(FAMILY_ALTERNATING, 5, 7), (FAMILY_SYMMETRIC, 5, 9)]
+)
+def test_every_block_is_the_closed_form_on_its_pair(family, k, g):
+    blocks = candidate_blocks(family, k, g)
+    for j in range(1, g + 1):
+        assert blocks.block(j) == closed_form_phi(family, k, g, pair=j)
 
 
 # ---------------------------------------------------------- step identities

@@ -5,6 +5,7 @@ from math import factorial
 
 import pytest
 
+import jcokernel.tensorspace as tensorspace
 from jcokernel.brauer import (
     BrauerDiagram,
     BrauerElement,
@@ -257,6 +258,20 @@ def test_expansion_bounds():
         expansion(t, 0, 2)
     with pytest.raises(ValueError):
         expansion(t, 3, 3)
+    for pair in (0, 3):
+        with pytest.raises(ValueError, match="pair"):
+            expansion(t, 1, 2, pair)
+
+
+def test_expansion_sums_its_pair_restrictions():
+    g = 3
+    t = SparseTensor(3, 2 * g, {b"\x01\x05\x01": 2, b"\x02\x01\x06": -1})
+    for i, j in ((1, 2), (2, 5), (1, 4)):
+        parts = [expansion(t, i, j, pair) for pair in range(1, g + 1)]
+        assert sum(parts[1:], parts[0]) == expansion(t, i, j)
+        for pair, part in enumerate(parts, 1):
+            inserted = {word[i - 1] for word in part._terms}
+            assert inserted == {pair, 2 * g + 1 - pair}
 
 
 # ------------------------------------------------------------- contraction
@@ -465,6 +480,32 @@ def test_serialization_is_shared_and_refuses_odd_alphabets():
     for vector in (odd, cyclic_project(odd)):
         with pytest.raises(ValueError, match="symplectic tensors"):
             vector.to_json_dict()
+
+
+def _unreachable(*_):
+    raise AssertionError("work done before the refusal")
+
+
+class _Unread(dict):
+    items = _unreachable
+
+
+def test_wedge_and_tensor_refuse_before_building(monkeypatch):
+    # The predicted counts are checked first: wedge never signs a
+    # permutation, and tensor never reads the terms of either factor.
+    monkeypatch.setattr(tensorspace, "_perm_sign", _unreachable)
+    factor = SparseTensor._raw((2, 4), _Unread(omega(2)._terms))
+    old = get_term_limit()
+    try:
+        set_term_limit(5)
+        with pytest.raises(TermLimitError) as refused:
+            wedge((1, 2, 3), 4)
+        assert (refused.value.operation, refused.value.count) == ("SparseTensor", 6)
+        with pytest.raises(TermLimitError) as refused:
+            factor.tensor(factor)
+        assert (refused.value.operation, refused.value.count) == ("tensor", 16)
+    finally:
+        set_term_limit(old)
 
 
 def test_term_watermark_enforced_and_resumable():
