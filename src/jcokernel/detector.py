@@ -91,17 +91,16 @@ def detect(family: str, k: int, g: int, force: bool = False) -> DetectionReport:
 
     Every stage runs on the window of the first w = min(g, t + 2) symplectic
     pairs, where the seed's letters are 1..t, and extends exactly to genus g.
-    The candidate sums one letter block per pair (`candidate_blocks`).  A
-    relabelling of the pairs commutes with place permutations, so a block
-    whose seed words are +-1 times a relabelled copy of an earlier pair's
-    (a check made exactly on the seed) is that pair's block relabelled, and
-    only one block per class is folded.  The same holds for the pairs above
-    w, whose relabelling also fixes the seed:
-    - candidate and closed form: compared on each folded block, against the
-      closed form restricted to that pair; equal there means equal on the
-      window and at g;
-    - kernel test: letter-local, so it runs on the folded blocks, and every
-      letter block at g relabels one of them;
+    The candidate sums one letter block per pair (`candidate_blocks`), and
+    one block per class of pairs is folded.  The fold, the orbit sum, the
+    closed form restricted to a pair (its D_{i,i+r} with pair p's letters is
+    a place permutation of omega_p (x) seed) and the kernel test each
+    multiply a block's seed part by an element of the place-permutation
+    algebra, which commutes with every renaming of letters, so a renaming
+    that maps pair r's seed part onto eps times pair j's carries every
+    per-block result, on the window and at g.  The closed form is therefore
+    compared, and the kernel test run, on the folded blocks only; the other
+    two stages read real letters:
     - maximality: X_1..X_w on the whole window vector meet every kind of
       raising operator at g (inside the touched pairs, at the boundary X_t,
       between two untouched pairs, and the long root); the weight is read
@@ -122,7 +121,7 @@ def detect(family: str, k: int, g: int, force: bool = False) -> DetectionReport:
     entry = _checked_family(family, k, g)
     genus = SymplecticSpace(g)
     w = min(g, entry.partition(k).length + 2)
-    blocks = candidate_blocks(family, k, w, check=False)
+    blocks = candidate_blocks(family, k, w)
     closed_form_agrees: bool | None = None
     if not out_of_range:
         closed_form_agrees = all(

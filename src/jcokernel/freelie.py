@@ -103,10 +103,16 @@ def apply_theta(tensor: SparseTensor) -> SparseTensor:
     return _fold(tensor, 0)
 
 
-def apply_theta_stabilizer(tensor: SparseTensor, k: int) -> SparseTensor:
-    """t . theta_P for a degree-(k+2) tensor, folded factor by factor."""
+def _check_stabilizer_degree(tensor: SparseTensor, k: int) -> None:
+    if k < 1:
+        raise ValueError("k must be positive")
     if tensor.degree != k + 2:
         raise ValueError(f"tensor degree must be {k + 2}")
+
+
+def apply_theta_stabilizer(tensor: SparseTensor, k: int) -> SparseTensor:
+    """t . theta_P for a degree-(k+2) tensor, folded factor by factor."""
+    _check_stabilizer_degree(tensor, k)
     return _fold(tensor, 1)
 
 
@@ -137,28 +143,45 @@ def left_normed_bracket(letters, n: int) -> SparseTensor:
     return result
 
 
+def _relabelled(terms: dict, table: bytes, eps: int):
+    """The terms with their words relabelled by table, times eps."""
+    return ((word.translate(table), eps * coeff) for word, coeff in terms.items())
+
+
+def _canonical(block: dict[bytes, Coeff]) -> tuple[bytes, int, dict[bytes, Coeff]]:
+    """(order, eps, relabelled) for a block whose words share one letter
+    multiset: `order` lists its letters by descending count, then by letter,
+    and `relabelled` is eps = +-1 times the block with order[i] renamed to
+    i + 1, eps making the least word's coefficient positive.
+
+    Blocks a and b with equal relabelled forms satisfy b = eps_a eps_b times
+    a renamed by bytes.maketrans(order_a, order_b).
+    """
+    letters = bytes(sorted(next(iter(block), b"")))
+    order = bytes(sorted(set(letters), key=lambda a: (-letters.count(a), a)))
+    table = bytes.maketrans(order, bytes(range(1, len(order) + 1)))
+    relabelled = {word.translate(table): coeff for word, coeff in block.items()}
+    if relabelled and relabelled[min(relabelled)] < 0:
+        return order, -1, {word: -coeff for word, coeff in relabelled.items()}
+    return order, 1, relabelled
+
+
 def _letter_blocks(tensor: SparseTensor) -> list[SparseTensor]:
-    """The distinct blocks of t, one per letter multiset, each relabelled
-    onto letters 1..d and signed to a canonical form.
+    """The distinct relabelled forms (`_canonical`) of the blocks of t, one
+    block per letter multiset.
 
     A place permutation keeps the letter multiset of a word and commutes
-    with relabelling the letters and with scalars, so an identity
-    t . x = c t holds on t exactly when it holds on every block here.
-    Letters are ordered by descending count, then by letter; a block whose
-    least word has a negative coefficient is negated.  Blocks that agree
-    after this are checked once: omega sums one pattern over all g pairs.
+    with renaming the letters and with scalars, so an identity t . x = c t
+    holds on t exactly when it holds on every form here.  Blocks with the
+    same form are checked once: omega sums one pattern over all g pairs.
     """
     terms = tensor._terms
     groups: dict[bytes, dict[bytes, Coeff]] = {}
     for letters, (word, coeff) in zip(map(bytes, map(sorted, terms)), terms.items()):
         groups.setdefault(letters, {})[word] = coeff
     blocks: dict[frozenset, SparseTensor] = {}
-    for letters, block in groups.items():
-        order = sorted(set(letters), key=lambda a: (-letters.count(a), a))
-        table = bytes.maketrans(bytes(order), bytes(range(1, len(order) + 1)))
-        relabelled = {word.translate(table): coeff for word, coeff in block.items()}
-        if relabelled[min(relabelled)] < 0:
-            relabelled = {word: -coeff for word, coeff in relabelled.items()}
+    for block in groups.values():
+        relabelled = _canonical(block)[2]
         blocks.setdefault(
             frozenset(relabelled.items()), SparseTensor._raw(tensor._shape, relabelled)
         )
@@ -179,8 +202,7 @@ def is_in_h(tensor: SparseTensor, k: int) -> bool:
     """Membership in the bracket-map kernel, by the two-sided criterion
     t . theta_P = (k+1) t and t . sigma_{k+2} = t, both exact and checked
     once per letter block."""
-    if tensor.degree != k + 2:
-        raise ValueError(f"tensor degree must be {k + 2}")
+    _check_stabilizer_degree(tensor, k)
     sigma = full_cycle(k + 2)
     return all(
         _fold(block, 1) == (k + 1) * block and act_perm(block, sigma) == block
@@ -266,26 +288,6 @@ def _check_preconditions(family: str, k: int, g: int) -> None:
         raise ValueError(problem)
 
 
-def _swap_pairs(n: int, r: int, j: int) -> bytes:
-    """The letter table that swaps pair r with pair j: r <-> j and r' <-> j'."""
-    dual = _form(n).dual
-    return bytes.maketrans(bytes((r, j, dual[r], dual[j])), bytes((j, r, dual[j], dual[r])))
-
-
-def _relabelled(terms: dict, table: bytes, eps: int):
-    """The terms with their words relabelled by table, times eps."""
-    return ((word.translate(table), eps * coeff) for word, coeff in terms.items())
-
-
-def _copy_sign(source: dict, target: dict, table: bytes) -> int:
-    """eps in (1, -1) with source relabelled by table equal to eps * target,
-    or 0 when neither sign makes them equal."""
-    moved = dict(_relabelled(source, table, 1))
-    if moved == target:
-        return 1
-    return -1 if moved == {word: -coeff for word, coeff in target.items()} else 0
-
-
 @dataclass(frozen=True)
 class PairBlocks:
     """A candidate (omega (x) seed) . x as one letter block per symplectic pair.
@@ -293,44 +295,38 @@ class PairBlocks:
     omega sums one term per pair, so the candidate is the sum of blocks, the
     block of pair j holding the images of the seed words whose omega letters
     are j and j'.  Their letter multisets differ from pair to pair, so the
-    blocks have disjoint supports.  A relabelling of the letters commutes with
-    every place permutation, so when swapping pair r with pair j maps the
-    seed words of pair r onto eps times those of pair j, block j is block r
-    relabelled the same way, times eps.  `folded` maps each representative
-    pair r to its block, computed; `copies[j - 1]` is (r, eps) for pair j,
-    and (j, 1) for a representative.
+    blocks have disjoint supports.  Each block is its pair's seed part times
+    the same element x of the place-permutation algebra, and place
+    permutations commute with every renaming of letters, so a renaming that
+    maps pair r's seed part onto eps times pair j's maps block r onto eps
+    times block j.  `folded` maps each representative pair r to its block,
+    computed; `copies[j - 1]` is (r, table, eps) for pair j, the renaming as
+    a `bytes.translate` table (the identity, with eps = 1, for r = j).
     """
 
     shape: tuple[int, int]
     folded: dict[int, SparseTensor]
-    copies: tuple[tuple[int, int], ...]
+    copies: tuple[tuple[int, bytes, int], ...]
 
     def block(self, j: int) -> SparseTensor:
         """The block of pair j."""
-        r, eps = self.copies[j - 1]
-        table = _swap_pairs(self.shape[1], r, j)
+        r, table, eps = self.copies[j - 1]
         return SparseTensor._raw(self.shape, dict(_relabelled(self.folded[r]._terms, table, eps)))
 
     def assemble(self) -> SparseTensor:
         """The whole candidate.  Its size is the sum of the block sizes, and
         is noted to the watermark before any word is copied."""
-        _note_terms(sum(len(self.folded[r]._terms) for r, _ in self.copies), "assemble")
-        n = self.shape[1]
+        _note_terms(sum(len(self.folded[r]._terms) for r, _, _ in self.copies), "assemble")
         out: dict[bytes, Coeff] = {}
-        for j, (r, eps) in enumerate(self.copies, 1):
-            out.update(_relabelled(self.folded[r]._terms, _swap_pairs(n, r, j), eps))
+        for r, table, eps in self.copies:
+            out.update(_relabelled(self.folded[r]._terms, table, eps))
         return SparseTensor._raw(self.shape, out)
 
     def multisets(self) -> set[bytes]:
         """The letter multisets of the candidate's words, read once per
-        representative and relabelled for its copies (letters unordered)."""
-        n = self.shape[1]
+        representative and renamed for its copies (letters unordered)."""
         read = {r: set(map(bytes, map(sorted, block._terms))) for r, block in self.folded.items()}
-        return {
-            letters.translate(_swap_pairs(n, r, j))
-            for j, (r, _) in enumerate(self.copies, 1)
-            for letters in read[r]
-        }
+        return {letters.translate(table) for r, table, _ in self.copies for letters in read[r]}
 
 
 def _pair_blocks(seed: SparseTensor, k: int) -> PairBlocks:
@@ -339,10 +335,9 @@ def _pair_blocks(seed: SparseTensor, k: int) -> PairBlocks:
     `seed` is omega (x) t for a degree-k tensor t whose words share one
     letter multiset, as a GL maximal vector's do, so the first two letters
     of each word name its pair and the blocks have disjoint supports; any
-    other seed raises ValueError.  Pair j reuses the first earlier
-    representative r whose seed words, with pair r swapped for pair j, are
-    exactly +-1 times those of pair j; otherwise its block is folded and
-    orbit-summed from its seed words.
+    other seed raises ValueError.  Pair j joins the class of the first pair
+    whose seed part has the same relabelled form (`_canonical`) and copies
+    its block; the first pair of a class is folded and orbit-summed.
     """
     n = seed.n
     dual = _form(n).dual
@@ -354,32 +349,29 @@ def _pair_blocks(seed: SparseTensor, k: int) -> PairBlocks:
     parts: dict[int, dict[bytes, Coeff]] = {}
     for word, coeff in terms.items():
         parts.setdefault(min(word[0], dual[word[0]]), {})[word] = coeff
+    classes: dict[frozenset, tuple[int, bytes, int]] = {}
     folded: dict[int, SparseTensor] = {}
     copies = []
     for j in range(1, n // 2 + 1):
         part = parts.get(j, {})
-        for r in folded:
-            eps = _copy_sign(parts.get(r, {}), part, _swap_pairs(n, r, j))
-            if eps:
-                copies.append((r, eps))
-                break
-        else:
+        order, eps, relabelled = _canonical(part)
+        r, order_r, eps_r = classes.setdefault(frozenset(relabelled.items()), (j, order, eps))
+        if r == j:
             block = SparseTensor._raw(seed._shape, part)
             folded[j] = rotation_orbit_sum(apply_theta_stabilizer(block, k))
-            copies.append((j, 1))
+        copies.append((r, bytes.maketrans(order_r, order), eps_r * eps))
     return PairBlocks(seed._shape, folded, tuple(copies))
 
 
-def candidate_blocks(family: str, k: int, g: int, check: bool = True) -> PairBlocks:
-    """The family's candidate at genus g, as letter blocks (`_pair_blocks`).
+def candidate_blocks(family: str, k: int, g: int) -> PairBlocks:
+    """The family's candidate at genus g, as letter blocks (`_pair_blocks`),
+    for any positive k and g; the theorem's preconditions are not checked.
 
     The seed is omega (x) the GL maximal vector of the family's partition:
     omega (x) e_1^(x)k for family "[k]" and omega (x) wedge for family "[1^k]".
-    For "[1^k]" the wedge is antisymmetric, so the pairs it touches copy pair
-    1 with eps = -1, and the pairs above k copy pair k + 1.
+    For "[1^k]" pair j <= k renames pair 1's wedge letters by a j-cycle, so it
+    copies pair 1 with eps = (-1)^(j-1), and the pairs above k copy pair k + 1.
     """
-    if check:
-        _check_preconditions(family, k, g)
     partition = _checked_family(family, k, g).partition
     seed = omega(g).tensor(gl_maximal_vector(partition(k), 2 * g))
     return _pair_blocks(seed, k)
@@ -388,7 +380,9 @@ def candidate_blocks(family: str, k: int, g: int, check: bool = True) -> PairBlo
 def phi_candidate(family: str, k: int, g: int, check: bool = True) -> SparseTensor:
     """Seed vector pushed into the bracket-map kernel by the averaged projector,
     assembled from its letter blocks (`candidate_blocks`)."""
-    return candidate_blocks(family, k, g, check).assemble()
+    if check:
+        _check_preconditions(family, k, g)
+    return candidate_blocks(family, k, g).assemble()
 
 
 def closed_form_phi(

@@ -240,8 +240,8 @@ WINDOW_BLOCKS = [
 def test_detect_builds_vectors_on_the_window_only(family, k, g, window, folded, monkeypatch):
     calls = []
 
-    def blocks_spy(family, k, g, check=True, _real=candidate_blocks):
-        blocks = _real(family, k, g, check=check)
+    def blocks_spy(family, k, g, _real=candidate_blocks):
+        blocks = _real(family, k, g)
         calls.append(("candidate_blocks", g, sorted(blocks.folded)))
         return blocks
 

@@ -17,6 +17,7 @@ from jcokernel.freelie import (
     averaged_projector,
     candidate_blocks,
     closed_form_phi,
+    family_preconditions,
     full_cycle,
     is_in_h,
     is_lie_element,
@@ -29,6 +30,7 @@ from jcokernel.freelie import (
 from jcokernel.tensorspace import (
     PermAlgebraElement,
     SparseTensor,
+    SymplecticSpace,
     act_perm,
     cont_k,
     cyclic_project,
@@ -36,6 +38,7 @@ from jcokernel.tensorspace import (
     omega,
     wedge,
 )
+from test_detector import WINDOW_GRID
 
 
 def bracket_oracle(letters, n):
@@ -180,6 +183,14 @@ def test_pure_power_not_in_kernel():
     assert is_in_h(SparseTensor.zero(5, 4), 3)
 
 
+@pytest.mark.parametrize("check", [is_in_h, apply_theta_stabilizer])
+def test_stabilizer_tests_refuse_a_non_positive_k(check):
+    # k = -1 meets a degree-1 tensor and k = 0 a degree-2 one.
+    for k in (-1, 0):
+        with pytest.raises(ValueError, match="k must be positive"):
+            check(SparseTensor.basis_word(4, (1,) * (k + 2)), k)
+
+
 def test_candidates_are_in_kernel():
     assert is_in_h(phi_candidate(FAMILY_SYMMETRIC, 3, 5), 3)
 
@@ -321,17 +332,24 @@ def test_detect_vectors_reduce_to_few_blocks(family, k, g, sizes):
 
 
 def test_alternating_blocks_copy_pair_one_with_the_wedge_sign():
-    # Swapping pair 1 with a pair the wedge touches negates the wedge; the
-    # pairs above k copy pair k + 1 unchanged.
+    # Pair j <= 5 renames pair 1's wedge letters by a j-cycle, of sign
+    # (-1)^(j-1); the pairs above k copy pair k + 1 unchanged.
     blocks = candidate_blocks(FAMILY_ALTERNATING, 5, 7)
-    assert blocks.copies == ((1, 1), (1, -1), (1, -1), (1, -1), (1, -1), (6, 1), (6, 1))
+    dual = SymplecticSpace(7).dual
+    signs = [(r, eps) for r, _, eps in blocks.copies]
+    assert signs == [(1, 1), (1, -1), (1, 1), (1, -1), (1, 1), (6, 1), (6, 1)]
+    for j, (r, table, _) in enumerate(blocks.copies, 1):
+        assert bytes((r, dual[r])).translate(table) == bytes((j, dual[j]))
     assert [blocks.folded[r].support_size() for r in (1, 6)] == [1344, 5040]
 
 
-@pytest.mark.parametrize(
-    "family, k, g", [(FAMILY_ALTERNATING, 5, 7), (FAMILY_SYMMETRIC, 5, 9)]
-)
+# Every in-range WINDOW_GRID case at its full genus, and [k] at g=9 besides.
+IN_RANGE_GRID = [case for case in WINDOW_GRID if family_preconditions(*case) is None]
+
+
+@pytest.mark.parametrize("family, k, g", IN_RANGE_GRID + [(FAMILY_SYMMETRIC, 5, 9)])
 def test_every_block_is_the_closed_form_on_its_pair(family, k, g):
+    # Every copy's table and sign, checked against the expansion route.
     blocks = candidate_blocks(family, k, g)
     for j in range(1, g + 1):
         assert blocks.block(j) == closed_form_phi(family, k, g, pair=j)
