@@ -58,7 +58,8 @@ def witt_rank(n: int, k: int) -> int:
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive")
     total = sum(_mobius(d) * n ** (k // d) for d in range(1, k + 1) if k % d == 0)
-    assert total % k == 0
+    if total % k:
+        raise RuntimeError(f"Witt sum {total} is not divisible by k = {k}")
     return total // k
 
 
@@ -401,7 +402,8 @@ def _sp_character(source: str, k: int) -> dict[int, dict[tuple[int, ...], Fracti
 def _pair(mu: Partition, terms: dict[tuple[int, ...], Fraction]) -> int:
     """<sum_sigma c_sigma p_sigma, s_mu> = sum_sigma c_sigma chi^mu(sigma)."""
     total = sum(c * _mn(mu, sigma) for sigma, c in terms.items())
-    assert total.denominator == 1, f"non-integral multiplicity {total} for {mu}"
+    if total.denominator != 1:
+        raise RuntimeError(f"non-integral multiplicity {total} for {mu}")
     return int(total)
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .combinatorics import mult_sp_in_module
 from .freelie import (
-    PairBlocks,
+    LetterBlocks,
     _checked_family,
     _family,
     candidate_blocks,
@@ -91,21 +91,22 @@ def detect(family: str, k: int, g: int, force: bool = False) -> DetectionReport:
 
     Every stage runs on the window of the first w = min(g, t + 2) symplectic
     pairs, where the seed's letters are 1..t, and extends exactly to genus g.
-    The candidate sums one letter block per pair (`candidate_blocks`), and
-    one block per class of pairs is folded.  The fold, the orbit sum, the
-    closed form restricted to a pair (its D_{i,i+r} with pair p's letters is
-    a place permutation of omega_p (x) seed) and the kernel test each
-    multiply a block's seed part by an element of the place-permutation
-    algebra, which commutes with every renaming of letters, so a renaming
-    that maps pair r's seed part onto eps times pair j's carries every
-    per-block result, on the window and at g.  The closed form is therefore
-    compared, and the kernel test run, on the folded blocks only; the other
-    two stages read real letters:
+    The candidate is held as its letter blocks (`freelie.LetterBlocks`),
+    block b being pair b's (`candidate_blocks`), and only the first block of
+    each relabelled form is folded.  The fold, the orbit sum, the closed
+    form restricted to a pair (its D_{i,i+r} with pair p's letters is a
+    place permutation of omega_p (x) seed) and the kernel test each multiply
+    a block's seed part by an element of the place-permutation algebra,
+    which commutes with every renaming of letters, so a renaming that maps
+    pair r's seed part onto eps times pair j's carries every per-block
+    result, on the window and at g.  The closed form is therefore compared,
+    and the kernel test run, on the reps only; the other two stages read
+    real letters:
     - maximality: X_1..X_w on the whole window vector meet every kind of
       raising operator at g (inside the touched pairs, at the boundary X_t,
       between two untouched pairs, and the long root); the weight is read
-      from the blocks' letter multisets, and at g it is the window weight
-      padded with zeros, as omega has weight 0;
+      from the letter multisets of the nonzero blocks, and at g it is the
+      window weight padded with zeros, as omega has weight 0;
     - contraction: with B the contraction of the block of pair w, each pair
       above w contributes B again, so the image at g is
       cont_k(phi_w) + (g - w) B; both terms are checked to stay on the
@@ -126,10 +127,10 @@ def detect(family: str, k: int, g: int, force: bool = False) -> DetectionReport:
     if not out_of_range:
         closed_form_agrees = all(
             block == closed_form_phi(family, k, w, check=False, pair=r)
-            for r, block in blocks.folded.items()
+            for r, block in blocks.reps.items()
         )
 
-    in_kernel = all(is_in_h(block, k) for block in blocks.folded.values())
+    in_kernel = all(is_in_h(block, k) for block in blocks.reps.values())
     phi = blocks.assemble()
     if phi.is_zero():
         maximal, weight = False, None
@@ -164,7 +165,7 @@ def detect(family: str, k: int, g: int, force: bool = False) -> DetectionReport:
 
 
 def _extend_contraction(
-    phi: SparseTensor, blocks: PairBlocks, genus: SymplecticSpace
+    phi: SparseTensor, blocks: LetterBlocks, genus: SymplecticSpace
 ) -> SparseTensor:
     """cont_k of the candidate at the given genus whose window part is phi,
     with letter blocks `blocks`.

@@ -10,7 +10,7 @@ the bracket map inside H (x) FreeLie(k+1), viewed in tensor degree k+2.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, reduce
 from math import comb
 from operator import mul
@@ -143,49 +143,79 @@ def left_normed_bracket(letters, n: int) -> SparseTensor:
     return result
 
 
-def _relabelled(terms: dict, table: bytes, eps: int):
-    """The terms with their words relabelled by table, times eps."""
-    return ((word.translate(table), eps * coeff) for word, coeff in terms.items())
+@dataclass(frozen=True)
+class LetterBlocks:
+    """A tensor t as letter blocks, one per letter multiset of its words.
 
-
-def _canonical(block: dict[bytes, Coeff]) -> tuple[bytes, int, dict[bytes, Coeff]]:
-    """(order, eps, relabelled) for a block whose words share one letter
-    multiset: `order` lists its letters by descending count, then by letter,
-    and `relabelled` is eps = +-1 times the block with order[i] renamed to
-    i + 1, eps making the least word's coefficient positive.
-
-    Blocks a and b with equal relabelled forms satisfy b = eps_a eps_b times
-    a renamed by bytes.maketrans(order_a, order_b).
-    """
-    letters = bytes(sorted(next(iter(block), b"")))
-    order = bytes(sorted(set(letters), key=lambda a: (-letters.count(a), a)))
-    table = bytes.maketrans(order, bytes(range(1, len(order) + 1)))
-    relabelled = {word.translate(table): coeff for word, coeff in block.items()}
-    if relabelled and relabelled[min(relabelled)] < 0:
-        return order, -1, {word: -coeff for word, coeff in relabelled.items()}
-    return order, 1, relabelled
-
-
-def _letter_blocks(tensor: SparseTensor) -> list[SparseTensor]:
-    """The distinct relabelled forms (`_canonical`) of the blocks of t, one
-    block per letter multiset.
+    Blocks are numbered from 1 in the order their first words occur; block
+    b has the letter multiset `letters[b - 1]` (sorted bytes).  A block's
+    relabelled form renames its letters, by descending count and then by
+    letter, onto 1..d, with the sign making the least word's coefficient
+    positive.  `reps` maps the first block of each form to that block, in
+    its own letters; `copies[b - 1]` is (r, table, eps): block b is eps
+    times block r renamed by the `bytes.translate` table.
 
     A place permutation keeps the letter multiset of a word and commutes
-    with renaming the letters and with scalars, so an identity t . x = c t
-    holds on t exactly when it holds on every form here.  Blocks with the
-    same form are checked once: omega sums one pattern over all g pairs.
+    with renaming letters and with scalars, so t . x is the sum of the
+    blocks b . x, each eps times (r . x) renamed: `map` computes t . x on
+    the reps only, and t . x = c t holds exactly when it holds on every rep.
     """
+
+    shape: tuple[int, int]
+    reps: dict[int, SparseTensor]
+    copies: tuple[tuple[int, bytes, int], ...]
+    letters: tuple[bytes, ...]
+
+    def _renamed(self, b: int):
+        r, table, eps = self.copies[b - 1]
+        return ((word.translate(table), eps * coeff) for word, coeff in self.reps[r]._terms.items())
+
+    def block(self, b: int) -> SparseTensor:
+        """Block b, in its own letters."""
+        return SparseTensor._raw(self.shape, dict(self._renamed(b)))
+
+    def assemble(self) -> SparseTensor:
+        """The whole tensor.  Its size is the sum of the block sizes, and is
+        noted to the watermark before any word is copied."""
+        _note_terms(sum(len(self.reps[r]._terms) for r, _, _ in self.copies), "assemble")
+        out: dict[bytes, Coeff] = {}
+        for b in range(1, len(self.copies) + 1):
+            out.update(self._renamed(b))
+        return SparseTensor._raw(self.shape, out)
+
+    def multisets(self) -> set[bytes]:
+        """The letter multisets of the nonzero blocks."""
+        nonzero = (self.reps[r]._terms for r, _, _ in self.copies)
+        return {letters for letters, terms in zip(self.letters, nonzero) if terms}
+
+    def map(self, f: Callable[[SparseTensor], SparseTensor]) -> LetterBlocks:
+        """The blocks of t . x, for f(s) = s . x with x in the place-permutation
+        algebra; f runs on the reps only."""
+        return replace(self, reps={r: f(rep) for r, rep in self.reps.items()})
+
+
+def _letter_blocks(tensor: SparseTensor) -> LetterBlocks:
+    """The letter blocks of t (`LetterBlocks`), grouped in one pass."""
     terms = tensor._terms
     groups: dict[bytes, dict[bytes, Coeff]] = {}
     for letters, (word, coeff) in zip(map(bytes, map(sorted, terms)), terms.items()):
         groups.setdefault(letters, {})[word] = coeff
-    blocks: dict[frozenset, SparseTensor] = {}
-    for block in groups.values():
-        relabelled = _canonical(block)[2]
-        blocks.setdefault(
-            frozenset(relabelled.items()), SparseTensor._raw(tensor._shape, relabelled)
-        )
-    return list(blocks.values())
+    # Blocks a and b with equal relabelled forms satisfy b = eps_a eps_b
+    # times a renamed by bytes.maketrans(order_a, order_b).
+    forms: dict[frozenset, tuple[int, bytes, int]] = {}
+    reps: dict[int, SparseTensor] = {}
+    copies = []
+    for b, (letters, block) in enumerate(groups.items(), 1):
+        order = bytes(sorted(set(letters), key=lambda a: (-letters.count(a), a)))
+        table = bytes.maketrans(order, bytes(range(1, len(order) + 1)))
+        relabelled = {word.translate(table): coeff for word, coeff in block.items()}
+        eps = -1 if relabelled[min(relabelled)] < 0 else 1
+        form = frozenset((word, eps * coeff) for word, coeff in relabelled.items())
+        r, order_r, eps_r = forms.setdefault(form, (b, order, eps))
+        if r == b:
+            reps[b] = SparseTensor._raw(tensor._shape, block)
+        copies.append((r, bytes.maketrans(order_r, order), eps_r * eps))
+    return LetterBlocks(tensor._shape, reps, tuple(copies), tuple(groups))
 
 
 def is_lie_element(tensor: SparseTensor) -> bool:
@@ -195,7 +225,7 @@ def is_lie_element(tensor: SparseTensor) -> bool:
     if tensor.degree < 2:
         return tensor.degree == 1 or tensor.is_zero()
     m = tensor.degree
-    return all(apply_theta(block) == m * block for block in _letter_blocks(tensor))
+    return all(apply_theta(block) == m * block for block in _letter_blocks(tensor).reps.values())
 
 
 def is_in_h(tensor: SparseTensor, k: int) -> bool:
@@ -206,7 +236,7 @@ def is_in_h(tensor: SparseTensor, k: int) -> bool:
     sigma = full_cycle(k + 2)
     return all(
         _fold(block, 1) == (k + 1) * block and act_perm(block, sigma) == block
-        for block in _letter_blocks(tensor)
+        for block in _letter_blocks(tensor).reps.values()
     )
 
 
@@ -288,82 +318,29 @@ def _check_preconditions(family: str, k: int, g: int) -> None:
         raise ValueError(problem)
 
 
-@dataclass(frozen=True)
-class PairBlocks:
-    """A candidate (omega (x) seed) . x as one letter block per symplectic pair.
-
-    omega sums one term per pair, so the candidate is the sum of blocks, the
-    block of pair j holding the images of the seed words whose omega letters
-    are j and j'.  Their letter multisets differ from pair to pair, so the
-    blocks have disjoint supports.  Each block is its pair's seed part times
-    the same element x of the place-permutation algebra, and place
-    permutations commute with every renaming of letters, so a renaming that
-    maps pair r's seed part onto eps times pair j's maps block r onto eps
-    times block j.  `folded` maps each representative pair r to its block,
-    computed; `copies[j - 1]` is (r, table, eps) for pair j, the renaming as
-    a `bytes.translate` table (the identity, with eps = 1, for r = j).
-    """
-
-    shape: tuple[int, int]
-    folded: dict[int, SparseTensor]
-    copies: tuple[tuple[int, bytes, int], ...]
-
-    def block(self, j: int) -> SparseTensor:
-        """The block of pair j."""
-        r, table, eps = self.copies[j - 1]
-        return SparseTensor._raw(self.shape, dict(_relabelled(self.folded[r]._terms, table, eps)))
-
-    def assemble(self) -> SparseTensor:
-        """The whole candidate.  Its size is the sum of the block sizes, and
-        is noted to the watermark before any word is copied."""
-        _note_terms(sum(len(self.folded[r]._terms) for r, _, _ in self.copies), "assemble")
-        out: dict[bytes, Coeff] = {}
-        for r, table, eps in self.copies:
-            out.update(_relabelled(self.folded[r]._terms, table, eps))
-        return SparseTensor._raw(self.shape, out)
-
-    def multisets(self) -> set[bytes]:
-        """The letter multisets of the candidate's words, read once per
-        representative and renamed for its copies (letters unordered)."""
-        read = {r: set(map(bytes, map(sorted, block._terms))) for r, block in self.folded.items()}
-        return {letters.translate(table) for r, table, _ in self.copies for letters in read[r]}
-
-
-def _pair_blocks(seed: SparseTensor, k: int) -> PairBlocks:
+def _pair_blocks(seed: SparseTensor, k: int) -> LetterBlocks:
     """(omega (x) t) . theta_P (1 + sigma + ... + sigma^(k+1)) as letter blocks.
 
     `seed` is omega (x) t for a degree-k tensor t whose words share one
-    letter multiset, as a GL maximal vector's do, so the first two letters
-    of each word name its pair and the blocks have disjoint supports; any
-    other seed raises ValueError.  Pair j joins the class of the first pair
-    whose seed part has the same relabelled form (`_canonical`) and copies
-    its block; the first pair of a class is folded and orbit-summed.
+    letter multiset, as a GL maximal vector's do, so the seed has one letter
+    block per symplectic pair, and block b holds the words whose first two
+    letters are b and b' in some order; any seed whose block b is not pair
+    b raises ValueError.  The first block of each relabelled form is folded
+    and orbit-summed, and the others copy it.
     """
-    n = seed.n
-    dual = _form(n).dual
-    terms = seed._terms
-    if len({bytes(sorted(word[2:])) for word in terms}) > 1 or any(
-        word[1] != dual[word[0]] for word in terms
+    dual = _form(seed.n).dual
+    blocks = _letter_blocks(seed)
+    g = seed.n // 2
+    if len(blocks.copies) != g or any(
+        word[0] not in (b, dual[b]) or word[1] != dual[word[0]]
+        for b in range(1, g + 1)
+        for word in blocks.block(b)._terms
     ):
         raise ValueError("seed must be omega (x) t, the words of t sharing one letter multiset")
-    parts: dict[int, dict[bytes, Coeff]] = {}
-    for word, coeff in terms.items():
-        parts.setdefault(min(word[0], dual[word[0]]), {})[word] = coeff
-    classes: dict[frozenset, tuple[int, bytes, int]] = {}
-    folded: dict[int, SparseTensor] = {}
-    copies = []
-    for j in range(1, n // 2 + 1):
-        part = parts.get(j, {})
-        order, eps, relabelled = _canonical(part)
-        r, order_r, eps_r = classes.setdefault(frozenset(relabelled.items()), (j, order, eps))
-        if r == j:
-            block = SparseTensor._raw(seed._shape, part)
-            folded[j] = rotation_orbit_sum(apply_theta_stabilizer(block, k))
-        copies.append((r, bytes.maketrans(order_r, order), eps_r * eps))
-    return PairBlocks(seed._shape, folded, tuple(copies))
+    return blocks.map(lambda block: rotation_orbit_sum(apply_theta_stabilizer(block, k)))
 
 
-def candidate_blocks(family: str, k: int, g: int) -> PairBlocks:
+def candidate_blocks(family: str, k: int, g: int) -> LetterBlocks:
     """The family's candidate at genus g, as letter blocks (`_pair_blocks`),
     for any positive k and g; the theorem's preconditions are not checked.
 

@@ -278,7 +278,8 @@ def gl_dimension(shape, n: int) -> int:
     for r, row in enumerate(shape.hook_lengths()):
         for c, hook in enumerate(row):
             result *= Fraction(n + c - r, hook)
-    assert result.denominator == 1
+    if result.denominator != 1:
+        raise RuntimeError(f"non-integral GL({n}) dimension {result} for {shape}")
     return result.numerator
 
 
@@ -295,5 +296,6 @@ def sp_dimension(shape, g: int) -> int:
         result *= Fraction(l[i], m[i])
         for j in range(i + 1, g):
             result *= Fraction(l[i] ** 2 - l[j] ** 2, m[i] ** 2 - m[j] ** 2)
-    assert result.denominator == 1
+    if result.denominator != 1:
+        raise RuntimeError(f"non-integral Sp({2 * g}) dimension {result} for {shape}")
     return result.numerator

@@ -80,7 +80,10 @@ def rat_str(value: Coeff) -> str:
 
 def rat_parse(text: str) -> Fraction:
     num, _, den = text.partition("/")
-    return Fraction(int(num), int(den) if den else 1)
+    try:
+        return Fraction(int(num), int(den) if den else 1)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 class SymplecticSpace:

@@ -1,12 +1,14 @@
 import itertools
 import re
 from collections import Counter
+from fractions import Fraction
 from math import factorial, gcd
 
 import pytest
 
 from jcokernel.combinatorics import (
     SOURCES,
+    _pair,
     brauer_dim,
     branching_coefficient,
     gl_to_sp_branching,
@@ -131,6 +133,13 @@ def test_witt_matches_lyndon_enumeration():
 def test_witt_rejects_bad_input():
     with pytest.raises(ValueError):
         witt_rank(0, 1)
+
+
+def test_non_integral_pairing_raises_even_without_asserts():
+    # The exactness check is an if, not an assert, so python -O keeps it:
+    # half the trivial character of S_2 would otherwise truncate to 0.
+    with pytest.raises(RuntimeError, match="non-integral multiplicity 1/2"):
+        _pair(Partition((2,)), {(2,): Fraction(1, 2)})
 
 
 # ------------------------------------------------------- cyclic characters

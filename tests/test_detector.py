@@ -225,6 +225,17 @@ def test_assembled_window_vector_matches_full_construction(family, k, g):
         assert phi == closed_form_phi(family, k, w, check=False)
 
 
+@pytest.mark.parametrize("family, k, g", WINDOW_GRID)
+def test_block_multisets_are_those_of_the_window_vector(family, k, g):
+    # Only nonzero blocks count: pair 1's block of a [k] candidate folds to zero.
+    w = min(g, _family(family).partition(k).length + 2)
+    blocks = candidate_blocks(family, k, w)
+    phi = blocks.assemble()
+    assert blocks.multisets() == set(map(bytes, map(sorted, phi._terms)))
+    if family == "[k]":
+        assert blocks.reps[1].is_zero() and blocks.letters[0] not in blocks.multisets()
+
+
 WINDOW_BLOCKS = [
     ("[k]", 15, 17, 3, [1, 2]),
     ("[1^k]", 5, 7, 7, [1, 6]),
@@ -242,7 +253,7 @@ def test_detect_builds_vectors_on_the_window_only(family, k, g, window, folded, 
 
     def blocks_spy(family, k, g, _real=candidate_blocks):
         blocks = _real(family, k, g)
-        calls.append(("candidate_blocks", g, sorted(blocks.folded)))
+        calls.append(("candidate_blocks", g, sorted(blocks.reps)))
         return blocks
 
     def closed_form_spy(family, k, g, check=True, pair=None, _real=closed_form_phi):
@@ -281,7 +292,7 @@ def test_blocks_of_seeds_without_the_family_symmetry(letters, genus, folded):
     # e_1 e_2' e_3 at genus 3 relabels onto itself under no swap of pairs, so
     # every block is folded; in the others the untouched pairs still copy.
     blocks = _seeded_blocks(letters, genus)
-    assert sorted(blocks.folded) == folded
+    assert sorted(blocks.reps) == folded
     assert blocks.assemble() == _seeded_candidate(letters, genus)
 
 

@@ -282,6 +282,41 @@ def test_relabelling_commutes_with_place_permutations(data, degree, n):
     assert act_perm(relabel(t), element) == relabel(act_perm(t, element))
 
 
+def _one_multiset(degree, n):
+    """Terms whose words are place permutations of one drawn word."""
+    word = st.lists(st.integers(1, n), min_size=degree, max_size=degree)
+    return word.flatmap(
+        lambda letters: st.dictionaries(
+            st.permutations(letters).map(bytes), st.integers(-3, 3), min_size=1, max_size=6
+        )
+    )
+
+
+@seed(20261020)
+@_checks
+@given(st.data(), st.integers(3, 5), st.integers(2, 6))
+def test_letter_blocks_reassemble_and_map_through_renamed_copies(data, degree, n):
+    # Several multisets, each followed by copies renamed by a permutation of
+    # the alphabet and flipped in sign at random; a copy may land on a
+    # multiset already present and merge with it.
+    t = SparseTensor.zero(degree, n)
+    for _ in range(data.draw(st.integers(1, 3))):
+        part = SparseTensor(degree, n, data.draw(_one_multiset(degree, n)))
+        t = t + part
+        for _ in range(data.draw(st.integers(0, 3))):
+            images = bytes(data.draw(st.permutations(range(1, n + 1))))
+            table = bytes.maketrans(bytes(range(1, n + 1)), images)
+            sign = data.draw(st.sampled_from((1, -1)))
+            t = t + SparseTensor(degree, n, {w.translate(table): sign * c for w, c in part.terms()})
+    blocks = _letter_blocks(t)
+    assert blocks.assemble() == t
+    assert blocks.multisets() == set(map(bytes, map(sorted, t._terms)))
+    sigma = tuple(data.draw(st.permutations(range(degree))))
+    element = PermAlgebraElement.from_permutation(sigma, data.draw(st.integers(-2, 2)))
+    for f in (lambda s: apply_theta_stabilizer(s, degree - 2), lambda s: act_perm(s, element)):
+        assert blocks.map(f).assemble() == f(t)
+
+
 def _edited_candidate(edit):
     """[k] k=5 g=7 with edit(block) applied to its second letter block, in
     the order of its terms, so that the first block stays the one kept."""
@@ -298,11 +333,11 @@ def _edited_candidate(edit):
 
 def test_in_h_on_edited_blocks_of_a_candidate():
     # All six blocks of the candidate relabel onto one canonical block.
-    assert len(_letter_blocks(phi_candidate(FAMILY_SYMMETRIC, 5, 7))) == 1
+    assert len(_letter_blocks(phi_candidate(FAMILY_SYMMETRIC, 5, 7)).reps) == 1
     negated = _edited_candidate(lambda block: {w: -c for w, c in block.items()})
-    assert len(_letter_blocks(negated)) == 1
+    assert len(_letter_blocks(negated).reps) == 1
     doubled = _edited_candidate(lambda block: {w: 2 * c for w, c in block.items()})
-    assert len(_letter_blocks(doubled)) == 2
+    assert len(_letter_blocks(doubled).reps) == 2
 
     def change_one(block):
         word = min(block)
@@ -310,7 +345,7 @@ def test_in_h_on_edited_blocks_of_a_candidate():
 
     # The changed block must not be deduplicated away with the other five.
     changed = _edited_candidate(change_one)
-    assert len(_letter_blocks(changed)) == 2
+    assert len(_letter_blocks(changed).reps) == 2
     for tensor, expected in ((negated, True), (doubled, True), (changed, False)):
         assert is_in_h(tensor, 5) is expected
         assert in_h_oracle(tensor, 5) is expected
@@ -328,7 +363,7 @@ def test_detect_vectors_reduce_to_few_blocks(family, k, g, sizes):
     # The kernel test of the benchmark's detect vectors checks these blocks
     # only: 16, 7 and 12 letter multisets collapse to 1, 2 and 1.
     blocks = _letter_blocks(phi_candidate(family, k, g))
-    assert sorted(block.support_size() for block in blocks) == sizes
+    assert sorted(block.support_size() for block in blocks.reps.values()) == sizes
 
 
 def test_alternating_blocks_copy_pair_one_with_the_wedge_sign():
@@ -340,7 +375,7 @@ def test_alternating_blocks_copy_pair_one_with_the_wedge_sign():
     assert signs == [(1, 1), (1, -1), (1, 1), (1, -1), (1, 1), (6, 1), (6, 1)]
     for j, (r, table, _) in enumerate(blocks.copies, 1):
         assert bytes((r, dual[r])).translate(table) == bytes((j, dual[j]))
-    assert [blocks.folded[r].support_size() for r in (1, 6)] == [1344, 5040]
+    assert [blocks.reps[r].support_size() for r in (1, 6)] == [1344, 5040]
 
 
 # Every in-range WINDOW_GRID case at its full genus, and [k] at g=9 besides.

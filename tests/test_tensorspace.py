@@ -468,6 +468,12 @@ def test_serialization_round_trip_and_ordering():
     assert rat_str(Fraction(-3, 2)) == "-3/2" and rat_str(4) == "4/1"
 
 
+def test_deserialization_refuses_a_zero_denominator():
+    text = '{"degree": 1, "g": 1, "terms": [{"word": [1], "coeff": "1/0"}]}'
+    with pytest.raises(ValueError, match="zero denominator"):
+        SparseTensor.from_json(text)
+
+
 def test_serialization_is_shared_and_refuses_odd_alphabets():
     t = SparseTensor(3, 4, {b"\x02\x01\x03": Fraction(1, 2), b"\x01\x01\x04": -3})
     projected = cyclic_project(t).to_json_dict()
