@@ -21,6 +21,7 @@ from .freelie import (
     candidate_blocks,
     closed_form_phi,
     family_preconditions,
+    family_seed,
     is_in_h,
 )
 from .spweights import Weight, is_maximal
@@ -28,6 +29,7 @@ from .tensorspace import (
     CyclicVector,
     SparseTensor,
     SymplecticSpace,
+    _form,
     cont_k,
     cyclic_project,
     gl_maximal_vector,
@@ -91,27 +93,23 @@ def detect(family: str, k: int, g: int, force: bool = False) -> DetectionReport:
 
     Every stage runs on the window of the first w = min(g, t + 2) symplectic
     pairs, where the seed's letters are 1..t, and extends exactly to genus g.
-    The candidate is held as its letter blocks (`freelie.LetterBlocks`),
-    block b being pair b's (`candidate_blocks`), and only the first block of
-    each relabelled form is folded.  The fold, the orbit sum, the closed
+    The candidate seed . x, x = theta_P (1 + sigma + ... + sigma^(k+1)), is
+    held as its letter blocks (`freelie.LetterBlocks`), block b being pair
+    b's (`candidate_blocks`); it is never assembled, and only the first block
+    of each relabelled form is folded.  The fold, the orbit sum, the closed
     form restricted to a pair (its D_{i,i+r} with pair p's letters is a
     place permutation of omega_p (x) seed) and the kernel test each multiply
     a block's seed part by an element of the place-permutation algebra,
     which commutes with every renaming of letters, so a renaming that maps
     pair r's seed part onto eps times pair j's carries every per-block
     result, on the window and at g.  The closed form is therefore compared,
-    and the kernel test run, on the reps only; the other two stages read
-    real letters:
-    - maximality: X_1..X_w on the whole window vector meet every kind of
-      raising operator at g (inside the touched pairs, at the boundary X_t,
-      between two untouched pairs, and the long root); the weight is read
-      from the letter multisets of the nonzero blocks, and at g it is the
-      window weight padded with zeros, as omega has weight 0;
-    - contraction: with B the contraction of the block of pair w, each pair
-      above w contributes B again, so the image at g is
-      cont_k(phi_w) + (g - w) B; both terms are checked to stay on the
-      letters below w, which mean the same at every genus, and the sum is
-      then only widened to the genus-g alphabet.
+    and the kernel test run, on the reps only.  Maximality is computed on
+    the seed (`family_seed`) and carried to the candidate: a raising
+    operator acts letter by letter, so X(seed . x) = X(seed) . x, and the
+    candidate is maximal of the seed's weight whenever it is nonzero, that
+    is, whenever some rep is.  X_1..X_w meet every kind of raising operator
+    at g, and the weight at g is padded with zeros, as omega has weight 0.
+    The contraction is read per letter block (`_extend_contraction`).
     """
     problem = family_preconditions(family, k, g)
     if problem and not force:
@@ -131,15 +129,15 @@ def detect(family: str, k: int, g: int, force: bool = False) -> DetectionReport:
         )
 
     in_kernel = all(is_in_h(block, k) for block in blocks.reps.values())
-    phi = blocks.assemble()
-    if phi.is_zero():
+    if all(block.is_zero() for block in blocks.reps.values()):
         maximal, weight = False, None
     else:
-        maximal, weight = is_maximal(phi, "sp", blocks.multisets())
-        if weight is not None:
-            weight += (0,) * (g - w)
+        maximal, weight = is_maximal(family_seed(family, k, w), "sp")
+        if not maximal:
+            raise RuntimeError(f"the seed of family {family} at k = {k} is not maximal")
+        weight += (0,) * (g - w)
 
-    image = cyclic_project(_extend_contraction(phi, blocks, genus))
+    image = cyclic_project(_extend_contraction(blocks, genus))
     scalar = image.ratio_to(seed_projection(family, k, g))
 
     if closed_form_agrees is False:
@@ -164,26 +162,41 @@ def detect(family: str, k: int, g: int, force: bool = False) -> DetectionReport:
     )
 
 
-def _extend_contraction(
-    phi: SparseTensor, blocks: LetterBlocks, genus: SymplecticSpace
-) -> SparseTensor:
-    """cont_k of the candidate at the given genus whose window part is phi,
-    with letter blocks `blocks`.
+def _extend_contraction(blocks: LetterBlocks, genus: SymplecticSpace) -> SparseTensor:
+    """cont_k, at the given genus, of the candidate whose window part has
+    the letter blocks `blocks`.
+
+    cont_k reads a word's first two letters through the pairing, so block
+    b = eps (block r renamed by table) contracts to eps times cont_k of
+    block r renamed by the table whenever the table keeps <e_a, e_c> for all
+    letters a, c of block r.  Each rep is contracted once; a copy whose
+    table fails that check is built and contracted itself.
 
     Call B the contraction of the block of pair w.  The block of a pair above
     w is a relabelled copy, so it contracts to B too when B holds no letter
-    of pair w.  The family images lie on the seed's letters 1..t < w, so
-    cont_k(phi) and B are checked to hold only letters below w, which are
-    the same letters at every genus; any other letter raises RuntimeError.
+    of pair w.  The family images lie on the seed's letters 1..t < w, so the
+    window sum and B are checked to hold only letters below w, which are the
+    same letters at every genus; any other letter raises RuntimeError.
     """
-    contracted = cont_k(phi)
-    w = phi.n // 2
+    pairing = _form(blocks.shape[1]).pairing
+    contracted = {r: cont_k(rep) for r, rep in blocks.reps.items()}
+    images = []
+    for b, (r, table, eps) in enumerate(blocks.copies, 1):
+        letters = set(blocks.letters[r - 1])
+        if all(pairing(table[a], table[c]) == pairing(a, c) for a in letters for c in letters):
+            terms = contracted[r]._terms.items()
+            renamed = {word.translate(table): eps * coeff for word, coeff in terms}
+            images.append(SparseTensor._raw(contracted[r]._shape, renamed))
+        else:
+            images.append(cont_k(blocks.block(b)))
+    window = sum(images[1:], images[0])
+    w = blocks.shape[1] // 2
     if w == genus.g:
-        return contracted
-    extra = cont_k(blocks.block(w))
-    if any(max(word) >= w for part in (contracted, extra) for word in part._terms):
+        return window
+    extra = images[w - 1]
+    if any(max(word) >= w for part in (window, extra) for word in part._terms):
         raise RuntimeError(f"contraction image holds a letter at or above w = {w}")
-    total = contracted + (genus.g - w) * extra
+    total = window + (genus.g - w) * extra
     return SparseTensor._raw((total.degree, genus.n), total._terms)
 
 

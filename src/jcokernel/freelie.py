@@ -183,11 +183,6 @@ class LetterBlocks:
             out.update(self._renamed(b))
         return SparseTensor._raw(self.shape, out)
 
-    def multisets(self) -> set[bytes]:
-        """The letter multisets of the nonzero blocks."""
-        nonzero = (self.reps[r]._terms for r, _, _ in self.copies)
-        return {letters for letters, terms in zip(self.letters, nonzero) if terms}
-
     def map(self, f: Callable[[SparseTensor], SparseTensor]) -> LetterBlocks:
         """The blocks of t . x, for f(s) = s . x with x in the place-permutation
         algebra; f runs on the reps only."""
@@ -340,18 +335,24 @@ def _pair_blocks(seed: SparseTensor, k: int) -> LetterBlocks:
     return blocks.map(lambda block: rotation_orbit_sum(apply_theta_stabilizer(block, k)))
 
 
-def candidate_blocks(family: str, k: int, g: int) -> LetterBlocks:
-    """The family's candidate at genus g, as letter blocks (`_pair_blocks`),
-    for any positive k and g; the theorem's preconditions are not checked.
-
-    The seed is omega (x) the GL maximal vector of the family's partition:
+def family_seed(family: str, k: int, g: int) -> SparseTensor:
+    """omega (x) the GL maximal vector of the family's partition at genus g:
     omega (x) e_1^(x)k for family "[k]" and omega (x) wedge for family "[1^k]".
+    It is Sp maximal: omega is Sp invariant, and every Sp raising operator
+    sends a letter to a smaller one, so it kills the GL maximal vector."""
+    partition = _checked_family(family, k, g).partition
+    return omega(g).tensor(gl_maximal_vector(partition(k), 2 * g))
+
+
+def candidate_blocks(family: str, k: int, g: int) -> LetterBlocks:
+    """The family's candidate at genus g, as the letter blocks of
+    `_pair_blocks` on `family_seed`, for any positive k and g; the theorem's
+    preconditions are not checked.
+
     For "[1^k]" pair j <= k renames pair 1's wedge letters by a j-cycle, so it
     copies pair 1 with eps = (-1)^(j-1), and the pairs above k copy pair k + 1.
     """
-    partition = _checked_family(family, k, g).partition
-    seed = omega(g).tensor(gl_maximal_vector(partition(k), 2 * g))
-    return _pair_blocks(seed, k)
+    return _pair_blocks(family_seed(family, k, g), k)
 
 
 def phi_candidate(family: str, k: int, g: int, check: bool = True) -> SparseTensor:

@@ -134,20 +134,14 @@ def word_weight(word, mode: str, n: int) -> Weight:
     raise ValueError(f"mode must be 'gl' or 'sp', got {mode!r}")
 
 
-def common_weight(
-    tensor: SparseTensor, mode: str, multisets: set[bytes] | None = None
-) -> Weight | None:
+def common_weight(tensor: SparseTensor, mode: str) -> Weight | None:
     """The single weight shared by every word of the tensor, else None.
 
     Words with one letter multiset share one weight, so it is computed, and
-    its letters checked, once per multiset.  A caller that holds the
-    multisets already (from the tensor's letter blocks) passes them as
-    `multisets`; otherwise they are read off the words.
+    its letters checked, once per multiset.
     """
-    if multisets is None:
-        multisets = set(map(bytes, map(sorted, tensor._terms)))
     weight = None
-    for letters in multisets:
+    for letters in set(map(bytes, map(sorted, tensor._terms))):
         vec = word_weight(letters, mode, tensor.n)
         if weight is None:
             weight = vec
@@ -156,15 +150,12 @@ def common_weight(
     return weight
 
 
-def is_maximal(
-    tensor: SparseTensor, mode: str, multisets: set[bytes] | None = None
-) -> tuple[bool, Weight | None]:
+def is_maximal(tensor: SparseTensor, mode: str) -> tuple[bool, Weight | None]:
     """Certify a maximal vector: one common weight, killed by every raising
-    operator.  Returns (True, weight) on success; rejects the zero tensor.
-    `multisets` is passed on to `common_weight`."""
+    operator.  Returns (True, weight) on success; rejects the zero tensor."""
     if tensor.is_zero():
         raise ValueError("the zero tensor has no weight")
-    weight = common_weight(tensor, mode, multisets)
+    weight = common_weight(tensor, mode)
     if weight is None:
         return False, None
     # common_weight has checked the mode, and the alphabet for mode "sp".

@@ -3,8 +3,8 @@
 Every command is covered in each format it writes and refused in one it
 does not write (exit 2, nothing on stdout), together with a forced run,
 a precondition failure and watermark trips at several stages of `detect`
-(the seed wedge, the seed tensor product, the `theta_P` fold, the orbit sum
-and the assembly of the letter blocks).  A refactor that is meant to keep every output byte must keep these.
+(the seed wedge, the seed tensor product, the `theta_P` fold and the orbit
+sum).  A refactor that is meant to keep every output byte must keep these.
 """
 
 import hashlib
@@ -103,14 +103,17 @@ GOLDEN = [
     ("--watermark 10 detect --family [k] --k 3 --g 5", 3,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
      "error: add: live term count 14 exceeds watermark 10" + RERUN),
-    # detect builds [k] on a window of 3 pairs, so its peak at k=5 is the
-    # 84 terms of the assembled window vector.
+    # detect builds [k] on a window of 3 pairs and never assembles it, so
+    # its peak at k=5 is the 42 terms of a rep's orbit sum.
     ("--watermark 100 detect --family [k] --k 5 --g 7", 0,
      "c5db1506e08460d5f0e3d0178f748d9352fe5ab0acd997fd136c0fb10ff1c65b",
      ""),
-    ("--watermark 50 detect --family [k] --k 5 --g 7", 3,
+    ("--watermark 50 detect --family [k] --k 5 --g 7", 0,
+     "c5db1506e08460d5f0e3d0178f748d9352fe5ab0acd997fd136c0fb10ff1c65b",
+     ""),
+    ("--watermark 30 detect --family [k] --k 5 --g 7", 3,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-     "error: assemble: live term count 84 exceeds watermark 50" + RERUN),
+     "error: add: live term count 36 exceeds watermark 30" + RERUN),
     ("--watermark 11 detect --family [k] --k 5 --g 7", 3,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
      "error: add: live term count 12 exceeds watermark 11" + RERUN),
@@ -120,11 +123,14 @@ GOLDEN = [
     ("--watermark 1000 detect --family [1^k] --k 5 --g 7", 3,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
      "error: tensor: live term count 1680 exceeds watermark 1000" + RERUN),
-    ("--watermark 16000 detect --family [1^k] --k 5 --g 7", 3,
+    # Each letter block is folded on its own and the vector is never
+    # assembled, so the peak is the 5,040 terms of the largest folded block.
+    ("--watermark 5000 detect --family [1^k] --k 5 --g 7", 3,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-     "error: assemble: live term count 16800 exceeds watermark 16000" + RERUN),
-    # Each letter block is folded on its own, so the peak is the 16,800
-    # terms of the assembled vector.
+     "error: add: live term count 5040 exceeds watermark 5000" + RERUN),
+    ("--watermark 16000 detect --family [1^k] --k 5 --g 7", 0,
+     "14e7e20034715d2017a09e95c52290f80e98cfa63bfb30c4a6c0d954c6492fca",
+     ""),
     ("--watermark 18000 detect --family [1^k] --k 5 --g 7", 0,
      "14e7e20034715d2017a09e95c52290f80e98cfa63bfb30c4a6c0d954c6492fca",
      ""),

@@ -15,13 +15,16 @@ from jcokernel.detector import (
     uniqueness_context,
 )
 from jcokernel.freelie import (
+    LetterBlocks,
     _family,
+    _letter_blocks,
     _pair_blocks,
     apply_theta_stabilizer,
     averaged_projector,
     candidate_blocks,
     closed_form_phi,
     family_preconditions,
+    family_seed,
     is_in_h,
     phi_candidate,
     rotation_orbit_sum,
@@ -57,7 +60,7 @@ def test_alternating_family_flagship():
     report = detect("[1^k]", 5, 7)
     # The largest live support any step builds; pinned so that a change to
     # how sums are formed or reported cannot move the watermark unseen.
-    assert peak_terms() == 16800
+    assert peak_terms() == 5040
     assert report.verdict == "detected"
     assert report.weight == (1, 1, 1, 1, 1, 0, 0)
     assert report.scalar == Fraction(-4 * (7 + 1))
@@ -227,13 +230,85 @@ def test_assembled_window_vector_matches_full_construction(family, k, g):
 
 @pytest.mark.parametrize("family, k, g", WINDOW_GRID)
 def test_block_multisets_are_those_of_the_window_vector(family, k, g):
-    # Only nonzero blocks count: pair 1's block of a [k] candidate folds to zero.
+    # The contraction reads a rep's letters from `letters`.  Only nonzero
+    # blocks show in the vector: pair 1's block of a [k] candidate folds to zero.
     w = min(g, _family(family).partition(k).length + 2)
     blocks = candidate_blocks(family, k, w)
     phi = blocks.assemble()
-    assert blocks.multisets() == set(map(bytes, map(sorted, phi._terms)))
+    nonzero = {
+        letters
+        for letters, (r, _, _) in zip(blocks.letters, blocks.copies)
+        if not blocks.reps[r].is_zero()
+    }
+    assert nonzero == set(map(bytes, map(sorted, phi._terms)))
     if family == "[k]":
-        assert blocks.reps[1].is_zero() and blocks.letters[0] not in blocks.multisets()
+        assert blocks.reps[1].is_zero() and blocks.letters[0] not in nonzero
+
+
+def _window(family, k, g):
+    return min(g, _family(family).partition(k).length + 2)
+
+
+@pytest.mark.parametrize("family, k, g", WINDOW_GRID)
+def test_window_seed_is_maximal(family, k, g):
+    # detect checks maximality on this seed and carries it to the candidate.
+    maximal, _ = is_maximal(family_seed(family, k, _window(family, k, g)), "sp")
+    assert maximal
+
+
+def _spy_on_block(monkeypatch):
+    built = []
+
+    def block_spy(self, b, _real=LetterBlocks.block):
+        built.append(b)
+        return _real(self, b)
+
+    monkeypatch.setattr(LetterBlocks, "block", block_spy)
+    return built
+
+
+@pytest.mark.parametrize("family, k, g", WINDOW_GRID)
+def test_block_contraction_is_cont_k_of_the_window_vector(family, k, g, monkeypatch):
+    # Every family copy keeps the pairing, so no block is built.
+    w = _window(family, k, g)
+    blocks = candidate_blocks(family, k, w)
+    built = _spy_on_block(monkeypatch)
+    extended = detector_module._extend_contraction(blocks, SymplecticSpace(w))
+    assert built == []
+    assert extended == cont_k(blocks.assemble())
+
+
+def test_block_contraction_builds_a_copy_that_breaks_a_dual_pair(monkeypatch):
+    # e_1 e_1' and e_2 e_3 have one relabelled form, but the copy's table
+    # sends the dual pair {1, 1'} onto {2, 3}, which pair to 0: renaming
+    # block 1's contraction would count <e_1', e_1> twice.
+    space = SymplecticSpace(3)
+    t = SparseTensor(2, space.n, {(1, space.dual[1]): 1, (2, 3): 1})
+    blocks = _letter_blocks(t)
+    assert [r for r, _, _ in blocks.copies] == [1, 1]
+    built = _spy_on_block(monkeypatch)
+    extended = detector_module._extend_contraction(blocks, space)
+    assert built == [2]
+    assert extended == cont_k(t) != 2 * cont_k(blocks.reps[1])
+
+
+def test_detect_refuses_a_seed_that_is_not_maximal(monkeypatch):
+    # e_2 e_2 ... is moved by X_1, so nothing carries to the candidate.
+    def seed(family, k, g):
+        return SparseTensor.basis_word(2 * g, (2,) * (k + 2))
+
+    monkeypatch.setattr(detector_module, "family_seed", seed)
+    with pytest.raises(RuntimeError, match=r"seed of family \[k\] at k = 3 is not maximal"):
+        detector_module.detect("[k]", 3, 5)
+
+
+@pytest.mark.parametrize("family, k, g", WINDOW_GRID)
+def test_detect_never_assembles_the_candidate(family, k, g, monkeypatch):
+    def refuse(self):
+        raise AssertionError("detect assembled the candidate")
+
+    monkeypatch.setattr(LetterBlocks, "assemble", refuse)
+    detect(family, k, g, force=True)
 
 
 WINDOW_BLOCKS = [
@@ -311,8 +386,7 @@ def test_blocks_refuse_a_seed_whose_pairs_could_overlap():
 def test_extended_contraction_is_cont_k_at_the_window_genus():
     # The seed e_1 e_2' e_1 touches pairs 1 and 2, so its window has 4 pairs.
     blocks = _seeded_blocks((1, -2, 1), 4)
-    window = blocks.assemble()
-    extended = detector_module._extend_contraction(window, blocks, SymplecticSpace(4))
+    extended = detector_module._extend_contraction(blocks, SymplecticSpace(4))
     assert not extended.is_zero()
     assert extended == cont_k(_seeded_candidate((1, -2, 1), 4))
 
@@ -328,7 +402,7 @@ def test_extended_contraction_refuses_letters_at_or_above_w(letters, w, g):
     # neither: their images lie on the seed letters 1..t < w.
     blocks = _seeded_blocks(letters, w)
     with pytest.raises(RuntimeError, match=f"letter at or above w = {w}"):
-        detector_module._extend_contraction(blocks.assemble(), blocks, SymplecticSpace(g))
+        detector_module._extend_contraction(blocks, SymplecticSpace(g))
 
 
 def test_unknown_family_has_one_message():

@@ -310,7 +310,7 @@ def test_letter_blocks_reassemble_and_map_through_renamed_copies(data, degree, n
             t = t + SparseTensor(degree, n, {w.translate(table): sign * c for w, c in part.terms()})
     blocks = _letter_blocks(t)
     assert blocks.assemble() == t
-    assert blocks.multisets() == set(map(bytes, map(sorted, t._terms)))
+    assert set(blocks.letters) == set(map(bytes, map(sorted, t._terms)))
     sigma = tuple(data.draw(st.permutations(range(degree))))
     element = PermAlgebraElement.from_permutation(sigma, data.draw(st.integers(-2, 2)))
     for f in (lambda s: apply_theta_stabilizer(s, degree - 2), lambda s: act_perm(s, element)):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from jcokernel.brauer import _random_tensor as random_tensor
+from jcokernel.freelie import averaged_projector
 from jcokernel.partitions import partitions_of
 from jcokernel.spweights import (
     common_weight,
@@ -15,8 +16,10 @@ from jcokernel.spweights import (
     word_weight,
 )
 from jcokernel.tensorspace import (
+    PermAlgebraElement,
     SparseTensor,
     SymplecticSpace,
+    act_perm,
     gl_maximal_vector,
     omega,
     sp_maximal_vector,
@@ -177,3 +180,31 @@ def test_apply_matches_per_position_reference():
                         terms[bytes(word)] = rng.choice((1, -2, Fraction(3, 5)))
                     t = SparseTensor(5, n, terms) + omega(g).tensor(random_tensor(rng, 3, n))
                     assert dict(op.apply(t).terms()) == apply_reference(op, t)
+
+
+def test_raising_operators_commute_with_place_permutations():
+    # X(t . x) = X(t) . x: X acts letter by letter and x moves slots.  detect
+    # rests on it to carry maximality from its seed to seed . x.  Most t are
+    # not maximal, so most images are nonzero.
+    rng = random.Random(21)
+    moved = checked = 0
+    for g in (1, 2, 3):
+        n = 2 * g
+        for degree in range(1, 6):
+            elements = [
+                PermAlgebraElement.from_permutation(
+                    rng.sample(range(degree), degree), rng.choice((1, -2, Fraction(1, 3)))
+                )
+                for _ in range(3)
+            ]
+            if degree >= 3:
+                elements.append(averaged_projector(degree - 2))
+            for _ in range(3):
+                t = random_tensor(rng, degree, n, nterms=6)
+                for op in sp_raising_operators(g):
+                    image = op.apply(t)
+                    moved += not image.is_zero()
+                    checked += 1
+                    for x in elements:
+                        assert op.apply(act_perm(t, x)) == act_perm(image, x)
+    assert moved > checked // 2
