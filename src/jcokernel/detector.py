@@ -18,11 +18,11 @@ from .freelie import (
     LetterBlocks,
     _checked_family,
     _family,
-    candidate_blocks,
+    _in_h_block,
+    _pair_blocks,
     closed_form_phi,
     family_preconditions,
     family_seed,
-    is_in_h,
 )
 from .spweights import Weight, is_maximal
 from .tensorspace import (
@@ -93,23 +93,23 @@ def detect(family: str, k: int, g: int, force: bool = False) -> DetectionReport:
 
     Every stage runs on the window of the first w = min(g, t + 2) symplectic
     pairs, where the seed's letters are 1..t, and extends exactly to genus g.
-    The candidate seed . x, x = theta_P (1 + sigma + ... + sigma^(k+1)), is
-    held as its letter blocks (`freelie.LetterBlocks`), block b being pair
-    b's (`candidate_blocks`); it is never assembled, and only the first block
-    of each relabelled form is folded.  The fold, the orbit sum, the closed
-    form restricted to a pair (its D_{i,i+r} with pair p's letters is a
-    place permutation of omega_p (x) seed) and the kernel test each multiply
-    a block's seed part by an element of the place-permutation algebra,
-    which commutes with every renaming of letters, so a renaming that maps
-    pair r's seed part onto eps times pair j's carries every per-block
-    result, on the window and at g.  The closed form is therefore compared,
-    and the kernel test run, on the reps only.  Maximality is computed on
-    the seed (`family_seed`) and carried to the candidate: a raising
-    operator acts letter by letter, so X(seed . x) = X(seed) . x, and the
-    candidate is maximal of the seed's weight whenever it is nonzero, that
-    is, whenever some rep is.  X_1..X_w meet every kind of raising operator
-    at g, and the weight at g is padded with zeros, as omega has weight 0.
-    The contraction is read per letter block (`_extend_contraction`).
+    One seed (`family_seed`) is built and grouped once: the candidate
+    seed . x, x = theta_P (1 + sigma + ... + sigma^(k+1)), is its letter-block
+    index (`freelie.LetterBlocks`) mapped through x by `_pair_blocks`, and
+    every stage reads that index; it is never assembled.  The fold, the
+    orbit sum, the closed form on a pair (its D_{i,i+r} with pair p's letters
+    is a place permutation of omega_p (x) seed) and the kernel criterion
+    each multiply a block's seed part by an element of the place-permutation
+    algebra, which commutes with every renaming of letters, so a renaming
+    that maps pair r's seed part onto eps times pair j's carries every
+    per-block result, on the window and at g.  So the closed form is compared
+    on the reps, and the kernel criterion (`_in_h_block`) run on the nonzero
+    reps as they stand.  Maximality is computed on the same seed and carried
+    to the candidate: a raising operator acts letter by letter, so
+    X(seed . x) = X(seed) . x, and the candidate is maximal of the seed's
+    weight whenever it is nonzero, that is, whenever some rep is.  X_1..X_w
+    meet every kind of raising operator at g, and the weight at g is padded
+    with zeros.  The contraction is read per letter block (`_extend_contraction`).
     """
     problem = family_preconditions(family, k, g)
     if problem and not force:
@@ -120,7 +120,8 @@ def detect(family: str, k: int, g: int, force: bool = False) -> DetectionReport:
     entry = _checked_family(family, k, g)
     genus = SymplecticSpace(g)
     w = min(g, entry.partition(k).length + 2)
-    blocks = candidate_blocks(family, k, w)
+    seed = family_seed(family, k, w)
+    blocks = _pair_blocks(seed, k)
     closed_form_agrees: bool | None = None
     if not out_of_range:
         closed_form_agrees = all(
@@ -128,11 +129,12 @@ def detect(family: str, k: int, g: int, force: bool = False) -> DetectionReport:
             for r, block in blocks.reps.items()
         )
 
-    in_kernel = all(is_in_h(block, k) for block in blocks.reps.values())
-    if all(block.is_zero() for block in blocks.reps.values()):
+    nonzero = [rep for rep in blocks.reps.values() if not rep.is_zero()]
+    in_kernel = all(_in_h_block(rep, k) for rep in nonzero)
+    if not nonzero:
         maximal, weight = False, None
     else:
-        maximal, weight = is_maximal(family_seed(family, k, w), "sp")
+        maximal, weight = is_maximal(seed, "sp")
         if not maximal:
             raise RuntimeError(f"the seed of family {family} at k = {k} is not maximal")
         weight += (0,) * (g - w)
@@ -181,12 +183,10 @@ def _extend_contraction(blocks: LetterBlocks, genus: SymplecticSpace) -> SparseT
     pairing = _form(blocks.shape[1]).pairing
     contracted = {r: cont_k(rep) for r, rep in blocks.reps.items()}
     images = []
-    for b, (r, table, eps) in enumerate(blocks.copies, 1):
+    for b, (r, table, _) in enumerate(blocks.copies, 1):
         letters = set(blocks.letters[r - 1])
         if all(pairing(table[a], table[c]) == pairing(a, c) for a in letters for c in letters):
-            terms = contracted[r]._terms.items()
-            renamed = {word.translate(table): eps * coeff for word, coeff in terms}
-            images.append(SparseTensor._raw(contracted[r]._shape, renamed))
+            images.append(blocks.rename(b, contracted[r]))
         else:
             images.append(cont_k(blocks.block(b)))
     window = sum(images[1:], images[0])

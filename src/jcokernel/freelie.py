@@ -166,26 +166,30 @@ class LetterBlocks:
     copies: tuple[tuple[int, bytes, int], ...]
     letters: tuple[bytes, ...]
 
-    def _renamed(self, b: int):
-        r, table, eps = self.copies[b - 1]
-        return ((word.translate(table), eps * coeff) for word, coeff in self.reps[r]._terms.items())
+    def rename(self, b: int, tensor: SparseTensor) -> SparseTensor:
+        """eps times `tensor` renamed by table, for copy b = (r, table, eps);
+        the result keeps `tensor`'s shape, so a contracted rep stays degree k."""
+        _, table, eps = self.copies[b - 1]
+        terms = {word.translate(table): eps * coeff for word, coeff in tensor._terms.items()}
+        return SparseTensor._raw(tensor._shape, terms)
 
     def block(self, b: int) -> SparseTensor:
         """Block b, in its own letters."""
-        return SparseTensor._raw(self.shape, dict(self._renamed(b)))
+        return self.rename(b, self.reps[self.copies[b - 1][0]])
 
     def assemble(self) -> SparseTensor:
         """The whole tensor.  Its size is the sum of the block sizes, and is
         noted to the watermark before any word is copied."""
         _note_terms(sum(len(self.reps[r]._terms) for r, _, _ in self.copies), "assemble")
         out: dict[bytes, Coeff] = {}
-        for b in range(1, len(self.copies) + 1):
-            out.update(self._renamed(b))
+        for b, (r, _, _) in enumerate(self.copies, 1):
+            out.update(self.rename(b, self.reps[r])._terms)
         return SparseTensor._raw(self.shape, out)
 
     def map(self, f: Callable[[SparseTensor], SparseTensor]) -> LetterBlocks:
         """The blocks of t . x, for f(s) = s . x with x in the place-permutation
-        algebra; f runs on the reps only."""
+        algebra: f runs on the reps only, and `rename` gives every copy.  cont_k
+        commutes only with renamings that keep the pairing, so it is no `map`."""
         return replace(self, reps={r: f(rep) for r, rep in self.reps.items()})
 
 
@@ -223,16 +227,17 @@ def is_lie_element(tensor: SparseTensor) -> bool:
     return all(apply_theta(block) == m * block for block in _letter_blocks(tensor).reps.values())
 
 
+def _in_h_block(tensor: SparseTensor, k: int) -> bool:
+    """The criterion of `is_in_h` on a tensor as it stands, ungrouped:
+    t . theta_P = (k+1) t and t . sigma_{k+2} = t, both exact."""
+    return _fold(tensor, 1) == (k + 1) * tensor and act_perm(tensor, full_cycle(k + 2)) == tensor
+
+
 def is_in_h(tensor: SparseTensor, k: int) -> bool:
-    """Membership in the bracket-map kernel, by the two-sided criterion
-    t . theta_P = (k+1) t and t . sigma_{k+2} = t, both exact and checked
-    once per letter block."""
+    """Membership in the bracket-map kernel, by the criterion of
+    `_in_h_block` checked once per relabelled letter block."""
     _check_stabilizer_degree(tensor, k)
-    sigma = full_cycle(k + 2)
-    return all(
-        _fold(block, 1) == (k + 1) * block and act_perm(block, sigma) == block
-        for block in _letter_blocks(tensor).reps.values()
-    )
+    return all(_in_h_block(block, k) for block in _letter_blocks(tensor).reps.values())
 
 
 def averaged_projector(k: int) -> PermAlgebraElement:
@@ -321,7 +326,9 @@ def _pair_blocks(seed: SparseTensor, k: int) -> LetterBlocks:
     block per symplectic pair, and block b holds the words whose first two
     letters are b and b' in some order; any seed whose block b is not pair
     b raises ValueError.  The first block of each relabelled form is folded
-    and orbit-summed, and the others copy it.
+    and orbit-summed, and the others copy it.  For the "[1^k]" seed, pair
+    j <= k renames pair 1's wedge letters by a j-cycle, so it copies pair 1
+    with eps = (-1)^(j-1), and the pairs above k copy pair k + 1.
     """
     dual = _form(seed.n).dual
     blocks = _letter_blocks(seed)
@@ -344,23 +351,12 @@ def family_seed(family: str, k: int, g: int) -> SparseTensor:
     return omega(g).tensor(gl_maximal_vector(partition(k), 2 * g))
 
 
-def candidate_blocks(family: str, k: int, g: int) -> LetterBlocks:
-    """The family's candidate at genus g, as the letter blocks of
-    `_pair_blocks` on `family_seed`, for any positive k and g; the theorem's
-    preconditions are not checked.
-
-    For "[1^k]" pair j <= k renames pair 1's wedge letters by a j-cycle, so it
-    copies pair 1 with eps = (-1)^(j-1), and the pairs above k copy pair k + 1.
-    """
-    return _pair_blocks(family_seed(family, k, g), k)
-
-
 def phi_candidate(family: str, k: int, g: int, check: bool = True) -> SparseTensor:
     """Seed vector pushed into the bracket-map kernel by the averaged projector,
-    assembled from its letter blocks (`candidate_blocks`)."""
+    assembled from its letter blocks (`_pair_blocks` of `family_seed`)."""
     if check:
         _check_preconditions(family, k, g)
-    return candidate_blocks(family, k, g).assemble()
+    return _pair_blocks(family_seed(family, k, g), k).assemble()
 
 
 def closed_form_phi(

@@ -1,9 +1,11 @@
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import jcokernel.detector as detector_module
+import jcokernel.freelie as freelie_module
 from jcokernel.detector import (
     REPORT_SCHEMA,
     VERDICT_DETECTED,
@@ -21,7 +23,6 @@ from jcokernel.freelie import (
     _pair_blocks,
     apply_theta_stabilizer,
     averaged_projector,
-    candidate_blocks,
     closed_form_phi,
     family_preconditions,
     family_seed,
@@ -233,7 +234,7 @@ def test_block_multisets_are_those_of_the_window_vector(family, k, g):
     # The contraction reads a rep's letters from `letters`.  Only nonzero
     # blocks show in the vector: pair 1's block of a [k] candidate folds to zero.
     w = min(g, _family(family).partition(k).length + 2)
-    blocks = candidate_blocks(family, k, w)
+    blocks = _pair_blocks(family_seed(family, k, w), k)
     phi = blocks.assemble()
     nonzero = {
         letters
@@ -271,7 +272,7 @@ def _spy_on_block(monkeypatch):
 def test_block_contraction_is_cont_k_of_the_window_vector(family, k, g, monkeypatch):
     # Every family copy keeps the pairing, so no block is built.
     w = _window(family, k, g)
-    blocks = candidate_blocks(family, k, w)
+    blocks = _pair_blocks(family_seed(family, k, w), k)
     built = _spy_on_block(monkeypatch)
     extended = detector_module._extend_contraction(blocks, SymplecticSpace(w))
     assert built == []
@@ -293,9 +294,10 @@ def test_block_contraction_builds_a_copy_that_breaks_a_dual_pair(monkeypatch):
 
 
 def test_detect_refuses_a_seed_that_is_not_maximal(monkeypatch):
-    # e_2 e_2 ... is moved by X_1, so nothing carries to the candidate.
+    # omega (x) e_2^(x)k has one block per pair, as `_pair_blocks` needs, but
+    # X_1 moves it, so nothing carries to the candidate.
     def seed(family, k, g):
-        return SparseTensor.basis_word(2 * g, (2,) * (k + 2))
+        return omega(g).tensor(SparseTensor.basis_word(2 * g, (2,) * k))
 
     monkeypatch.setattr(detector_module, "family_seed", seed)
     with pytest.raises(RuntimeError, match=r"seed of family \[k\] at k = 3 is not maximal"):
@@ -309,6 +311,26 @@ def test_detect_never_assembles_the_candidate(family, k, g, monkeypatch):
 
     monkeypatch.setattr(LetterBlocks, "assemble", refuse)
     detect(family, k, g, force=True)
+
+
+@pytest.mark.parametrize("family, k, g", WINDOW_GRID)
+def test_detect_builds_one_seed_and_groups_it_once(family, k, g, monkeypatch):
+    # Every stage reads the one letter-block index of the one seed.
+    calls = []
+
+    def seed_spy(family, k, g, _real=family_seed):
+        calls.append("family_seed")
+        return _real(family, k, g)
+
+    def group_spy(tensor, _real=_letter_blocks):
+        calls.append("_letter_blocks")
+        return _real(tensor)
+
+    monkeypatch.setattr(freelie_module, "family_seed", seed_spy)
+    monkeypatch.setattr(detector_module, "family_seed", seed_spy)
+    monkeypatch.setattr(freelie_module, "_letter_blocks", group_spy)
+    detect(family, k, g, force=True)
+    assert Counter(calls) == {"family_seed": 1, "_letter_blocks": 1}
 
 
 WINDOW_BLOCKS = [
@@ -326,19 +348,19 @@ WINDOW_BLOCKS = [
 def test_detect_builds_vectors_on_the_window_only(family, k, g, window, folded, monkeypatch):
     calls = []
 
-    def blocks_spy(family, k, g, _real=candidate_blocks):
-        blocks = _real(family, k, g)
-        calls.append(("candidate_blocks", g, sorted(blocks.reps)))
+    def blocks_spy(seed, k, _real=_pair_blocks):
+        blocks = _real(seed, k)
+        calls.append(("_pair_blocks", seed.n // 2, sorted(blocks.reps)))
         return blocks
 
     def closed_form_spy(family, k, g, check=True, pair=None, _real=closed_form_phi):
         calls.append(("closed_form_phi", g, pair))
         return _real(family, k, g, check=check, pair=pair)
 
-    monkeypatch.setattr(detector_module, "candidate_blocks", blocks_spy)
+    monkeypatch.setattr(detector_module, "_pair_blocks", blocks_spy)
     monkeypatch.setattr(detector_module, "closed_form_phi", closed_form_spy)
     assert detector_module.detect(family, k, g).verdict == "detected"
-    assert calls == [("candidate_blocks", window, folded)] + [
+    assert calls == [("_pair_blocks", window, folded)] + [
         ("closed_form_phi", window, pair) for pair in folded
     ]
 

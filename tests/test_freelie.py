@@ -11,13 +11,17 @@ from jcokernel.brauer import _random_tensor as random_tensor
 from jcokernel.freelie import (
     FAMILY_ALTERNATING,
     FAMILY_SYMMETRIC,
+    _family,
+    _fold,
+    _in_h_block,
     _letter_blocks,
+    _pair_blocks,
     apply_theta,
     apply_theta_stabilizer,
     averaged_projector,
-    candidate_blocks,
     closed_form_phi,
     family_preconditions,
+    family_seed,
     full_cycle,
     is_in_h,
     is_lie_element,
@@ -369,7 +373,7 @@ def test_detect_vectors_reduce_to_few_blocks(family, k, g, sizes):
 def test_alternating_blocks_copy_pair_one_with_the_wedge_sign():
     # Pair j <= 5 renames pair 1's wedge letters by a j-cycle, of sign
     # (-1)^(j-1); the pairs above k copy pair k + 1 unchanged.
-    blocks = candidate_blocks(FAMILY_ALTERNATING, 5, 7)
+    blocks = _pair_blocks(family_seed(FAMILY_ALTERNATING, 5, 7), 5)
     dual = SymplecticSpace(7).dual
     signs = [(r, eps) for r, _, eps in blocks.copies]
     assert signs == [(1, 1), (1, -1), (1, 1), (1, -1), (1, 1), (6, 1), (6, 1)]
@@ -385,9 +389,39 @@ IN_RANGE_GRID = [case for case in WINDOW_GRID if family_preconditions(*case) is 
 @pytest.mark.parametrize("family, k, g", IN_RANGE_GRID + [(FAMILY_SYMMETRIC, 5, 9)])
 def test_every_block_is_the_closed_form_on_its_pair(family, k, g):
     # Every copy's table and sign, checked against the expansion route.
-    blocks = candidate_blocks(family, k, g)
+    blocks = _pair_blocks(family_seed(family, k, g), k)
     for j in range(1, g + 1):
         assert blocks.block(j) == closed_form_phi(family, k, g, pair=j)
+
+
+@pytest.mark.parametrize("family, k, g", WINDOW_GRID)
+def test_block_criterion_agrees_with_is_in_h_on_reps_and_non_members(family, k, g):
+    # detect runs `_in_h_block` on the reps as they stand; is_in_h regroups.
+    # Non-members: each pair block of the seed, each nonzero rep with one
+    # coefficient changed, and each nonzero seed block folded by theta_P but
+    # not orbit-summed, which meets t . theta_P = (k+1) t and fails only the
+    # rotation condition.
+    w = min(g, _family(family).partition(k).length + 2)
+    seed = family_seed(family, k, w)
+    blocks = _pair_blocks(seed, k)
+    for rep in blocks.reps.values():
+        assert _in_h_block(rep, k) is is_in_h(rep, k) is True
+        if not rep.is_zero():
+            word = min(rep._terms)
+            changed = SparseTensor(k + 2, 2 * w, {**rep._terms, word: rep._terms[word] + 1})
+            assert _in_h_block(changed, k) is is_in_h(changed, k) is False
+    sigma = full_cycle(k + 2)
+    seed_blocks = _letter_blocks(seed)
+    folded_only = 0
+    for b in range(1, w + 1):
+        seed_block = seed_blocks.block(b)
+        assert _in_h_block(seed_block, k) is is_in_h(seed_block, k) is False
+        folded = _fold(seed_block, 1)
+        if not folded.is_zero():
+            assert _fold(folded, 1) == (k + 1) * folded and act_perm(folded, sigma) != folded
+            assert _in_h_block(folded, k) is is_in_h(folded, k) is False
+            folded_only += 1
+    assert folded_only > 0
 
 
 # ---------------------------------------------------------- step identities
