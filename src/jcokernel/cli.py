@@ -6,12 +6,11 @@ all rationals in machine-readable output are exact "p/q" strings.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import json
 import os
 import sys
-from functools import cache
+from types import SimpleNamespace
 
 from . import selftest
 from .brauer import ram_character
@@ -22,61 +21,74 @@ from .partitions import CycleType, Partition, partitions_of
 from .tensorspace import TermLimitError, get_term_limit, set_term_limit
 
 FORMATS = ("text", "json", "csv")
+GLOBAL_OPTIONS = {"--format": (FORMATS, None), "--seed": (int, 0), "--watermark": (int, None)}
+# command: (the formats it writes, default first; its options). An option is
+# (kind, default): kind int, a tuple of choices or bool (a flag); default ... = required.
+COMMANDS = {
+    "witt": (FORMATS, {"--n": (int, ...), "--k-max": (int, ...)}),
+    "decompose": (FORMATS, {"--source": (("h", "cyclic"), ...),
+                            "--k": (int, ...), "--g": (int, ...)}),
+    "detect": (("json",), {"--family": (FAMILIES, ...), "--k": (int, ...),
+                           "--g": (int, ...), "--force": (bool, False)}),
+    "brauer-char": (("csv",), {"--k": (int, ...), "--g": (int, ...)}),
+    "selftest": (("text",), {"--level": (("fast", "full"), "fast")}),
+}
 
 
-@cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built on the first `main` call and reused; the
-    --watermark default is set by `main` on every call."""
-    parser = argparse.ArgumentParser(
-        prog="jcokernel",
-        description="Exact symplectic representation-theory computations.",
-    )
-    parser.add_argument("--format", choices=FORMATS, default=None, dest="fmt")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--watermark",
-        type=int,
-        help="abort tensor computations whose live term count exceeds this "
-        "(default: $JCOKERNEL_WATERMARK, else the library limit)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _usage(command) -> str:
+    words = ["usage:", "jcokernel"] + ([command] if command else []) + ["[-h]"]
+    for name, (kind, default) in (COMMANDS[command][1] if command else GLOBAL_OPTIONS).items():
+        word = (name if kind is bool else f"{name} {{{','.join(kind)}}}"
+                if isinstance(kind, tuple) else f"{name} {name[2:].upper()}")
+        words.append(word if default is ... else f"[{word}]")
+    return " ".join(words if command else words + ["{" + ",".join(COMMANDS) + "}", "..."])
 
-    witt = sub.add_parser("witt", help="free Lie ranks by degree")
-    witt.add_argument("--n", type=int, required=True)
-    witt.add_argument("--k-max", type=int, required=True, dest="k_max")
-    witt.set_defaults(handler=cmd_witt, formats=FORMATS)
 
-    dec = sub.add_parser("decompose", help="Sp decomposition of a named module")
-    dec.add_argument("--source", choices=("h", "cyclic"), required=True)
-    dec.add_argument("--k", type=int, required=True)
-    dec.add_argument("--g", type=int, required=True)
-    dec.set_defaults(handler=cmd_decompose, formats=FORMATS)
+def _fail(command, message: str):
+    print(_usage(command), f"jcokernel: error: {message}", sep="\n", file=sys.stderr)
+    raise SystemExit(2)
 
-    det = sub.add_parser("detect", help="run the cokernel detection pipeline")
-    det.add_argument("--family", choices=FAMILIES, required=True)
-    det.add_argument("--k", type=int, required=True)
-    det.add_argument("--g", type=int, required=True)
-    det.add_argument("--force", action="store_true",
-                     help="run outside the theorem range; flags the report")
-    det.set_defaults(handler=cmd_detect, formats=("json",))
 
-    bc = sub.add_parser("brauer-char", help="character table of the diagram algebra")
-    bc.add_argument("--k", type=int, required=True)
-    bc.add_argument("--g", type=int, required=True)
-    bc.set_defaults(handler=cmd_brauer_char, formats=("csv",))
-
-    st = sub.add_parser("selftest", help="run the invariant panels")
-    st.add_argument("--level", choices=("fast", "full"), default="fast")
-    st.set_defaults(handler=cmd_selftest, formats=("text",))
-    return parser
+def _parse(argv) -> SimpleNamespace:
+    """argv as the cmd_* handlers read it; a usage error exits 2, --help 0."""
+    # The --watermark default, read on every call so a changed variable counts.
+    given = {"--watermark": os.environ.get("JCOKERNEL_WATERMARK")}
+    command, options, tokens = None, GLOBAL_OPTIONS, iter(argv)
+    for token in tokens:
+        name, equals, text = token.partition("=")
+        if token in ("-h", "--help"):
+            print(*map(_usage, [command] if command else [None, *COMMANDS]), sep="\n")
+            raise SystemExit(0)
+        if command is None and not token.startswith("-"):
+            if token not in COMMANDS:
+                _fail(None, f"argument command: invalid choice: {token!r}")
+            command, options = token, COMMANDS[token][1]
+        elif name not in options or equals and options[name][0] is bool:
+            _fail(command, f"unrecognized arguments: {token}")
+        else:
+            given[name] = options[name][0] is bool or (text if equals else next(tokens, ""))
+    args, missing = SimpleNamespace(command=command), [] if command else ["command"]
+    for name, (kind, default) in {**GLOBAL_OPTIONS, **options}.items():
+        value = given.get(name, default)
+        if value is ...:
+            missing.append(name)
+        elif isinstance(value, str):
+            try:  # tuple.index raises ValueError on an invalid choice, as int does
+                value = int(value) if kind is int else kind[kind.index(value)]
+            except ValueError:
+                _fail(command if name in options else None, f"argument {name}: invalid "
+                      f"{'int value' if kind is int else 'choice'}: {value!r}")
+        setattr(args, "fmt" if name == "--format" else name[2:].replace("-", "_"), value)
+    if missing:
+        _fail(command, f"the following arguments are required: {', '.join(missing)}")
+    return args
 
 
 def _partition_label(p: Partition) -> str:
     return "[" + ",".join(str(x) for x in p) + "]"
 
 
-def cmd_witt(args: argparse.Namespace, out) -> int:
+def cmd_witt(args: SimpleNamespace, out) -> int:
     if args.k_max < 1:
         raise ValueError(f"--k-max must be positive, got {args.k_max}")
     rows = [(k, witt_rank(args.n, k)) for k in range(1, args.k_max + 1)]
@@ -93,7 +105,7 @@ def cmd_witt(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def cmd_decompose(args: argparse.Namespace, out) -> int:
+def cmd_decompose(args: SimpleNamespace, out) -> int:
     table = sp_decomposition(args.source, args.k, args.g)
     if args.fmt == "json":
         payload = {
@@ -116,13 +128,13 @@ def cmd_decompose(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def cmd_detect(args: argparse.Namespace, out) -> int:
+def cmd_detect(args: SimpleNamespace, out) -> int:
     report = detect(args.family, args.k, args.g, force=args.force)
     out.write(report.to_json() + "\n")
     return 1 if report.verdict == VERDICT_INCONSISTENT else 0
 
 
-def cmd_brauer_char(args: argparse.Namespace, out) -> int:
+def cmd_brauer_char(args: SimpleNamespace, out) -> int:
     k, g = args.k, args.g
     if k < 0 or g < 1:
         raise ValueError(f"brauer-char needs k >= 0 and g >= 1, got k = {k}, g = {g}")
@@ -137,7 +149,7 @@ def cmd_brauer_char(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def cmd_selftest(args: argparse.Namespace, out) -> int:
+def cmd_selftest(args: SimpleNamespace, out) -> int:
     checks = selftest.run_selftest(args.level, seed=args.seed)
     failed = 0
     for name, passed in checks:
@@ -148,16 +160,12 @@ def cmd_selftest(args: argparse.Namespace, out) -> int:
 
 
 def main(argv=None, out=None) -> int:
-    parser = _build_parser()
-    # Read on every call, so a changed variable takes effect; argparse still
-    # converts it, and a malformed value is a usage error.
-    parser.set_defaults(watermark=os.environ.get("JCOKERNEL_WATERMARK"))
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     out = out if out is not None else sys.stdout
-    # Each command declares the formats it writes; the first is its default.
-    args.fmt = args.fmt or args.formats[0]
-    if args.fmt not in args.formats:
-        print(f"error: {args.command} writes {' or '.join(args.formats)}, "
+    formats = COMMANDS[args.command][0]
+    args.fmt = args.fmt or formats[0]
+    if args.fmt not in formats:
+        print(f"error: {args.command} writes {' or '.join(formats)}, "
               f"not --format {args.fmt}", file=sys.stderr)
         return 2
     # --watermark applies to this call only; later calls in the same
@@ -166,7 +174,8 @@ def main(argv=None, out=None) -> int:
     try:
         if args.watermark is not None:
             set_term_limit(args.watermark)
-        return args.handler(args, out)
+        # Looked up per call, so a wrapper set on the module after import runs.
+        return globals()["cmd_" + args.command.replace("-", "_")](args, out)
     except TermLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -235,3 +235,81 @@ def test_decompose_degree_below_one_is_usage_error(source, k, capsys):
     assert capsys.readouterr().err == (
         f"error: k must be at least 1 for source '{source}', got k = {k}\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("detect", "--family", "[2]", "--k", "5", "--g", "7"), ("--family", "[2]")),
+        (("detect", "--k", "5"), ("--family", "--g")),
+        (("frob",), ("frob",)),
+        ((), ("command",)),
+        (("decompose", "--source", "h", "--k", "five", "--g", "7"), ("--k", "five")),
+        (("witt", "--n", "2", "--k-max", "2", "--bogus"), ("--bogus",)),
+        # Global flags go before the command.
+        (("detect", "--format", "json", "--family", "[k]", "--k", "3", "--g", "5"),
+         ("--format",)),
+    ],
+    ids=["invalid-choice", "missing-options", "unknown-command", "no-command",
+         "invalid-int", "unrecognized", "global-after-command"],
+)
+def test_bad_arguments_are_usage_errors(argv, named, capsys):
+    out = io.StringIO()
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv), out=out)
+    assert exc.value.code == 2 and out.getvalue() == ""
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: jcokernel")
+    last = captured.err.splitlines()[-1]
+    assert last.startswith("jcokernel") and "error: " in last
+    assert all(name in last for name in named), last
+
+
+def test_option_values_may_follow_an_equals_sign():
+    spaced = run_cli("detect", "--family", "[k]", "--k", "3", "--g", "5")
+    assert spaced[0] == 0
+    assert run_cli("detect", "--family=[k]", "--k=3", "--g=5") == spaced
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (("--help",), ("witt", "decompose", "detect", "brauer-char", "selftest")),
+        (("detect", "--help"), ("--family",)),
+    ],
+)
+def test_help_summarises_the_commands(argv, names, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert all(name in text for name in names), text
+
+
+def test_handlers_are_looked_up_at_call_time(monkeypatch):
+    # The benchmark's tracer replaces cli.cmd_brauer_char in the module
+    # namespace after import; a handler held since import would skip it.
+    import jcokernel.cli as cli
+
+    # A first call builds whatever main builds once, before the spies go in.
+    assert run_cli("witt", "--n", "1", "--k-max", "1")[0] == 0
+    called = []
+    for name in ("cmd_brauer_char", "cmd_detect"):
+        monkeypatch.setattr(cli, name, lambda args, out, name=name: called.append(name) or 0)
+    assert run_cli("brauer-char", "--k", "2", "--g", "4") == (0, "")
+    assert run_cli("detect", "--family", "[k]", "--k", "3", "--g", "5") == (0, "")
+    assert called == ["cmd_brauer_char", "cmd_detect"]
+
+
+def test_cli_run_loads_no_argument_parser():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    child = ("import sys\n"
+             "from jcokernel.cli import main\n"
+             "assert main(['witt', '--n', '2', '--k-max', '2']) == 0\n"
+             "loaded = {'argparse', 'gettext', 'locale'} & set(sys.modules)\n"
+             "assert not loaded, sorted(loaded)\n")
+    done = subprocess.run([sys.executable, "-c", child], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
