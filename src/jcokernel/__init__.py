@@ -15,7 +15,6 @@ from .brauer import (
 )
 from .combinatorics import (
     brauer_dim,
-    branching_coefficient,
     gl_to_sp_branching,
     kw_multiplicity,
     lr_coefficient,
@@ -23,9 +22,7 @@ from .combinatorics import (
     mult_gl_in_free_lie,
     mult_gl_in_h,
     mult_sp_in_module,
-    pieri_column,
     sk_character,
-    skew_lr_tableaux,
     sp_decomposition,
     witt_rank,
 )
@@ -45,8 +42,6 @@ from .freelie import (
 from .partitions import (
     CycleType,
     Partition,
-    SkewLRTableau,
-    StandardTableau,
     gl_dimension,
     partitions_of,
     sp_dimension,

@@ -15,8 +15,9 @@ each module's Frobenius character has a handful of power-sum terms, and
 Littlewood's stable-range rule pairs D^perp of it with Schur functions
 through Murnaghan-Nakayama.  D^perp is one adjoint exponential,
 `_adjoint_exp` with sign -1; Ram's Brauer characters (`brauer.py`) apply the
-same routine with sign +1.  Littlewood-Richardson coefficients and GL to Sp
-branching remain public, and the tests use them as the oracle.
+same routine with sign +1.  No program path computes a Littlewood-Richardson
+coefficient: `lr_coefficient` and `gl_to_sp_branching` stay public as the
+oracle the tests restrict GL multiplicities through.
 """
 
 from __future__ import annotations
@@ -27,13 +28,7 @@ from fractions import Fraction
 from functools import cache
 from math import comb, gcd
 
-from .partitions import (
-    CycleType,
-    Partition,
-    SkewLRTableau,
-    partitions_of,
-    syt_count,
-)
+from .partitions import CycleType, Partition, partitions_of, syt_count
 
 
 def _mobius(d: int) -> int:
@@ -94,13 +89,6 @@ def _lr(outer: Partition, inner: Partition, weight: Partition) -> int:
     return sum(1 for _ in _lr_fillings(outer, inner, weight))
 
 
-def skew_lr_tableaux(outer, inner, weight):
-    """The fillings counted by lr_coefficient, as SkewLRTableau witnesses."""
-    outer, inner, weight = Partition(outer), Partition(inner), Partition(weight)
-    for grid in _lr_fillings(outer, inner, weight):
-        yield SkewLRTableau(outer, inner, dict(grid))
-
-
 def _lr_fillings(outer: Partition, inner: Partition, weight: Partition):
     """Backtracking over LR fillings of outer \\ inner with content weight.
 
@@ -145,51 +133,12 @@ def _lr_fillings(outer: Partition, inner: Partition, weight: Partition):
     yield from fill(0)
 
 
-def pieri_column(mu, k: int, n: int) -> list[Partition]:
-    """All partitions obtained from mu by adding a vertical k-strip.
-
-    A vertical strip has at most one box per row; results are capped at
-    length n.  Every partition occurs with multiplicity one.
-    """
-    mu = Partition(mu)
-    if mu.length > n:
-        raise ValueError(f"length of mu exceeds n={n}")
-    out: list[Partition] = []
-    parts: list[int] = []
-
-    def grow(row: int, remaining: int) -> None:
-        if remaining == 0 and row >= mu.length:
-            out.append(Partition(parts))
-            return
-        if row >= n:
-            return
-        base = mu[row] if row < mu.length else 0
-        prev = parts[row - 1] if row > 0 else None
-        for add in (0, 1):
-            if add > remaining:
-                continue
-            part = base + add
-            if part == 0 or (prev is not None and part > prev):
-                continue
-            parts.append(part)
-            grow(row + 1, remaining - add)
-            parts.pop()
-
-    grow(0, k)
-    return sorted(out, reverse=True)
-
-
 def _doubled_partitions(total: int):
     """Partitions of `total` whose conjugate is even (rows pair up)."""
     if total % 2:
         return
     for kappa in partitions_of(total // 2):
         yield Partition([p for p in kappa for _ in range(2)])
-
-
-def branching_coefficient(lam, mubar, g: int) -> int:
-    """Multiplicity of the Sp(2g) irreducible `mubar` in the GL(2g) module `lam`."""
-    return gl_to_sp_branching(lam, g).get(Partition(mubar), 0)
 
 
 def gl_to_sp_branching(lam, g: int) -> dict[Partition, int]:

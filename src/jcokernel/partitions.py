@@ -1,4 +1,5 @@
-"""Integer partitions, tableaux, and the classical dimension formulas.
+"""Integer partitions, standard tableau enumeration, and the classical
+dimension formulas.
 
 Everything here is exact: dimensions come out as Python ints, intermediate
 ratios as :class:`fractions.Fraction`.
@@ -102,67 +103,6 @@ def _integer(value, what: str = "parts") -> int:
 CycleType = Partition
 
 
-class SkewLRTableau:
-    """A semistandard filling of a skew shape whose reverse reading word is a
-    lattice permutation.
-
-    `filling` maps the cells of outer \\ inner (0-indexed (row, col)) to
-    positive integers, weakly increasing along rows and strictly increasing
-    down columns; the constructor rejects anything else.
-    """
-
-    __slots__ = ("outer", "inner", "filling")
-
-    def __init__(self, outer, inner, filling: dict):
-        outer, inner = Partition(outer), Partition(inner)
-        if not outer.contains(inner):
-            raise ValueError("inner must fit inside outer")
-        inner_padded = tuple(inner) + (0,) * (outer.length - inner.length)
-        cells = {
-            (r, c)
-            for r in range(outer.length)
-            for c in range(inner_padded[r], outer[r])
-        }
-        if set(filling) != cells:
-            raise ValueError("filling must cover exactly the skew cells")
-        if any(v < 1 for v in filling.values()):
-            raise ValueError("entries must be positive")
-        for r, c in cells:
-            if (r, c + 1) in filling and filling[(r, c)] > filling[(r, c + 1)]:
-                raise ValueError("rows must weakly increase")
-            if (r + 1, c) in filling and filling[(r, c)] >= filling[(r + 1, c)]:
-                raise ValueError("columns must strictly increase")
-        counts: dict[int, int] = {}
-        for r in range(outer.length):
-            for c in range(outer[r] - 1, inner_padded[r] - 1, -1):
-                v = filling[(r, c)]
-                counts[v] = counts.get(v, 0) + 1
-                if v > 1 and counts[v] > counts.get(v - 1, 0):
-                    raise ValueError("reverse reading word is not a lattice permutation")
-        self.outer = outer
-        self.inner = inner
-        self.filling = dict(filling)
-
-    @property
-    def weight(self) -> Partition:
-        top = max(self.filling.values(), default=0)
-        counts = [0] * top
-        for v in self.filling.values():
-            counts[v - 1] += 1
-        return Partition(counts)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SkewLRTableau)
-            and self.outer == other.outer
-            and self.inner == other.inner
-            and self.filling == other.filling
-        )
-
-    def __repr__(self):
-        return f"SkewLRTableau({self.outer}\\{self.inner}, {self.filling})"
-
-
 @cache
 def _partitions_of(n: int, max_part: int, max_length: int) -> tuple[Partition, ...]:
     if n == 0:
@@ -178,73 +118,35 @@ def _partitions_of(n: int, max_part: int, max_length: int) -> tuple[Partition, .
 
 def partitions_of(n: int, max_length: int | None = None):
     """All partitions of n, optionally capped in length."""
+    if max_length is not None and max_length < 0:
+        raise ValueError(f"max_length must be nonnegative, got {max_length}")
     if n < 0:
         return ()
     return _partitions_of(n, n, n if max_length is None else max_length)
-
-
-class StandardTableau(tuple):
-    """A standard filling of a Young diagram by 1..n.
-
-    Rows increase left to right, columns increase top to bottom, and every
-    value in 1..n appears exactly once.  Entries must be integers, as parts
-    are, and every row must be nonempty.  A tableau is the tuple of its rows,
-    as a `Partition` is its parts: it equals, hashes and sorts as that tuple.
-    """
-
-    def __new__(cls, rows):
-        rows = tuple(tuple(_integer(v, "entries") for v in row) for row in rows)
-        if not all(rows):
-            raise ValueError("rows must be nonempty")
-        n = Partition(map(len, rows)).size
-        seen = sorted(itertools.chain.from_iterable(rows))
-        if seen != list(range(1, n + 1)):
-            raise ValueError("entries must be exactly 1..n")
-        for row in rows:
-            for a, b in itertools.pairwise(row):
-                if a >= b:
-                    raise ValueError("rows must increase strictly")
-        for upper, lower in itertools.pairwise(rows):
-            for c in range(len(lower)):
-                if upper[c] >= lower[c]:
-                    raise ValueError("columns must increase strictly")
-        return super().__new__(cls, rows)
-
-    rows = property(tuple)
-    shape = property(lambda self: Partition(map(len, self)))
-
-    @property
-    def descents(self) -> list[int]:
-        """Entries i such that i+1 sits in a strictly lower row."""
-        row_of = {v: r for r, row in enumerate(self) for v in row}
-        return [i for i in range(1, len(row_of)) if row_of[i + 1] > row_of[i]]
-
-    @property
-    def major_index(self) -> int:
-        return sum(self.descents)
-
-    def __repr__(self):
-        return f"StandardTableau{self.rows}"
 
 
 # Enumeration limit; shapes past this size mean an unbounded search was asked for.
 MAX_TABLEAU_SIZE = 14
 
 
-def standard_tableaux(shape) -> Iterator[StandardTableau]:
-    """Depth-first enumeration of all standard tableaux of the given shape."""
+def standard_tableaux(shape) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Depth-first enumeration of all standard tableaux of the given shape.
+
+    Each tableau is the tuple of its rows: 1..n, each once, increasing along
+    every row and down every column.
+    """
     shape = Partition(shape)
     n = shape.size
     if n > MAX_TABLEAU_SIZE:
         raise ValueError(f"shape size {n} exceeds tableau cap {MAX_TABLEAU_SIZE}")
     if n == 0:
-        yield StandardTableau(())
+        yield ()
         return
     rows = [[] for _ in shape]
 
-    def grow(value: int) -> Iterator[StandardTableau]:
+    def grow(value: int) -> Iterator[tuple[tuple[int, ...], ...]]:
         if value > n:
-            yield StandardTableau(tuple(tuple(r) for r in rows))
+            yield tuple(map(tuple, rows))
             return
         for i, row in enumerate(rows):
             if len(row) >= shape[i]:

@@ -302,9 +302,12 @@ class SparseTensor(_Combination):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SparseTensor":
-        terms = {
-            bytes(entry["word"]): rat_parse(entry["coeff"]) for entry in data["terms"]
-        }
+        terms: dict[bytes, Fraction] = {}
+        for entry in data["terms"]:
+            word = bytes(entry["word"])
+            if word in terms:
+                raise ValueError(f"repeated word {list(word)} in terms")
+            terms[word] = rat_parse(entry["coeff"])
         return cls(data["degree"], 2 * data["g"], terms)
 
     @classmethod

@@ -10,7 +10,6 @@ from jcokernel.combinatorics import (
     SOURCES,
     _pair,
     brauer_dim,
-    branching_coefficient,
     gl_to_sp_branching,
     kw_multiplicity,
     lr_coefficient,
@@ -18,7 +17,6 @@ from jcokernel.combinatorics import (
     mult_gl_in_free_lie,
     mult_gl_in_h,
     mult_sp_in_module,
-    pieri_column,
     sk_character,
     sp_decomposition,
     witt_rank,
@@ -32,6 +30,7 @@ from jcokernel.partitions import (
     standard_tableaux,
     syt_count,
 )
+from test_partitions import major_index
 
 
 # ---------------------------------------------------------------- oracles
@@ -101,7 +100,7 @@ def sp_decomposition_oracle(source: str, k: int, g: int) -> dict[Partition, int]
 
 def mult_sp_oracle(mubar, source: str, k: int, g: int) -> int:
     return sum(
-        branching_coefficient(lam, mubar, g) * mult
+        gl_to_sp_branching(lam, g).get(mubar, 0) * mult
         for lam, mult in gl_module_multiplicities(source, k, g).items()
         if mult
     )
@@ -158,7 +157,7 @@ def test_maj_residues_match_tableau_enumeration():
     # indices, at every residue.
     for n in range(1, 11):
         for lam in partitions_of(n):
-            histogram = Counter(t.major_index % n for t in standard_tableaux(lam))
+            histogram = Counter(major_index(t) % n for t in standard_tableaux(lam))
             assert [kw_multiplicity(lam, j) for j in range(n)] == [histogram[j] for j in range(n)]
 
 
@@ -232,23 +231,6 @@ def test_lr_matches_oracle_small():
                         )
 
 
-def test_lr_witness_tableaux():
-    from jcokernel.combinatorics import skew_lr_tableaux
-    from jcokernel.partitions import SkewLRTableau
-
-    witnesses = list(skew_lr_tableaux((3, 2, 1), (2, 1), (2, 1)))
-    assert len(witnesses) == lr_coefficient((3, 2, 1), (2, 1), (2, 1)) == 2
-    for t in witnesses:
-        assert t.weight == (2, 1)
-        # The constructor revalidates semistandardness and the lattice word.
-        assert SkewLRTableau(t.outer, t.inner, t.filling) == t
-    with pytest.raises(ValueError):
-        SkewLRTableau((2, 1), (1,), {(0, 1): 1, (1, 0): 2, (0, 0): 9})
-    with pytest.raises(ValueError):
-        # Value 2 before any 1 breaks the lattice condition.
-        SkewLRTableau((2,), (), {(0, 0): 2, (0, 1): 2})
-
-
 def test_lr_symmetry_up_to_size_8():
     for n in range(1, 9):
         for outer in partitions_of(n):
@@ -260,27 +242,6 @@ def test_lr_symmetry_up_to_size_8():
                         assert lr_coefficient(outer, inner, weight) == lr_coefficient(
                             outer, weight, inner
                         )
-
-
-# ------------------------------------------------------------------ Pieri
-
-
-def test_pieri_examples():
-    assert pieri_column((1,), 1, 3) == [Partition((2,)), Partition((1, 1))]
-    assert pieri_column((), 3, 3) == [Partition((1, 1, 1))]
-    assert pieri_column((2, 1), 2, 3) == [
-        Partition((3, 2)),
-        Partition((3, 1, 1)),
-        Partition((2, 2, 1)),
-    ]
-
-
-def test_pieri_is_vertical_strip():
-    for mu in partitions_of(4):
-        for lam in pieri_column(mu, 2, 5):
-            assert lam.contains(mu)
-            added = [lam[i] - (mu[i] if i < mu.length else 0) for i in range(lam.length)]
-            assert all(a in (0, 1) for a in added) and sum(added) == 2
 
 
 # -------------------------------------------------------------- branching
@@ -304,19 +265,19 @@ def test_branching_preserves_dimension():
 
 
 def test_branching_coefficient_matches_table():
-    lam = Partition((2, 2))
-    assert branching_coefficient(lam, (2, 2), 3) == 1
-    assert branching_coefficient(lam, (1, 1), 3) == 1
-    assert branching_coefficient(lam, (), 3) == 1
-    assert branching_coefficient(lam, (2,), 3) == 0
+    branching = gl_to_sp_branching((2, 2), 3)
+    assert branching.get((2, 2), 0) == 1
+    assert branching.get((1, 1), 0) == 1
+    assert branching.get((), 0) == 1
+    assert branching.get((2,), 0) == 0
 
 
 def test_branching_coefficient_edge_cases():
     # A mubar longer than g is no Sp(2g) weight; a lam longer than g is refused.
-    assert branching_coefficient((2, 1), (1, 1, 1), 2) == 0
-    assert branching_coefficient((2, 2), (1, 1, 1, 1), 2) == 0
+    assert gl_to_sp_branching((2, 1), 2).get((1, 1, 1), 0) == 0
+    assert gl_to_sp_branching((2, 2), 2).get((1, 1, 1, 1), 0) == 0
     with pytest.raises(ValueError, match="length of lambda exceeds g=2"):
-        branching_coefficient((1, 1, 1), (1,), 2)
+        gl_to_sp_branching((1, 1, 1), 2)
 
 
 # -------------------------------------------------------------- characters

@@ -474,6 +474,15 @@ def test_deserialization_refuses_a_zero_denominator():
         SparseTensor.from_json(text)
 
 
+def test_deserialization_refuses_a_repeated_word():
+    text = (
+        '{"degree": 2, "g": 1, "terms": '
+        '[{"word": [1, 2], "coeff": "1/1"}, {"word": [1, 2], "coeff": "2/1"}]}'
+    )
+    with pytest.raises(ValueError, match=re.escape("repeated word [1, 2]")):
+        SparseTensor.from_json(text)
+
+
 def test_serialization_is_shared_and_refuses_odd_alphabets():
     t = SparseTensor(3, 4, {b"\x02\x01\x03": Fraction(1, 2), b"\x01\x01\x04": -3})
     projected = cyclic_project(t).to_json_dict()
