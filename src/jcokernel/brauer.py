@@ -22,24 +22,12 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import Counter
 from fractions import Fraction
 from functools import cache
-from math import factorial, prod
 
 from .combinatorics import _adjoint_exp, _pair, _paired_points
-from .partitions import CycleType, Partition, _integer, partitions_of
-from .tensorspace import (
-    Coeff,
-    PermAlgebraElement,
-    SparseTensor,
-    _Combination,
-    _accumulate,
-    _exact,
-    _form,
-    act_perm,
-    sp_maximal_vector,
-)
+from .partitions import CycleType, Partition, _integer
+from .tensorspace import Coeff, SparseTensor, _Combination, _accumulate, _exact, _form
 
 # Points 0..k-1 are the top row, k..2k-1 the bottom row.
 
@@ -99,22 +87,6 @@ class BrauerDiagram(tuple):
 
     def __repr__(self):
         return f"BrauerDiagram(k={self.k}, {list(self)})"
-
-
-@cache
-def all_diagrams(k: int) -> tuple[BrauerDiagram, ...]:
-    """All (2k-1)!! perfect matchings on 2k points, sorted."""
-
-    def match(points):
-        if not points:
-            yield ()
-            return
-        first, rest = points[0], points[1:]
-        for idx, second in enumerate(rest):
-            for tail in match(rest[:idx] + rest[idx + 1 :]):
-                yield ((first, second),) + tail
-
-    return tuple(sorted(BrauerDiagram(k, edges) for edges in match(tuple(range(2 * k)))))
 
 
 def compose_diagrams(d1: BrauerDiagram, d2: BrauerDiagram) -> tuple[BrauerDiagram, int]:
@@ -178,6 +150,8 @@ class BrauerElement(_Combination):
             raise ValueError("size or parameter mismatch")
 
     def __add__(self, other: "BrauerElement") -> "BrauerElement":
+        if type(other) is not BrauerElement:
+            return NotImplemented
         self._like(other)
         return self._sum(other, "BrauerElement.add")
 
@@ -249,11 +223,6 @@ def _images(tensor: SparseTensor, diagram: BrauerDiagram, scale: Coeff):
                     out[p], out[q] = r, rdual
                     fill_sign *= s
                 yield bytes(out), coeff if fill_sign > 0 else -coeff
-
-
-def act_twisted_diagram(tensor: SparseTensor, diagram: BrauerDiagram) -> SparseTensor:
-    """Right action of a single diagram."""
-    return act_twisted(tensor, BrauerElement.from_diagram(diagram, -tensor.n))
 
 
 def act_twisted(tensor: SparseTensor, element: BrauerElement) -> SparseTensor:
@@ -387,66 +356,3 @@ def _ram_class(cls: CycleType) -> tuple[dict[int, dict[tuple[int, ...], Fraction
     """
     sign = (-1) ** (cls.size - cls.length)
     return _adjoint_exp({tuple(cls): sign}, -1), {}
-
-
-def restriction_multiset(lam, k: int) -> dict[Partition, int]:
-    """Decomposition of the Brauer cell module under the ordinary S_k action.
-
-    Returns {nu': multiplicity}; the conjugation records the sign twist
-    between the Brauer embedding of S_k and the place-permutation action.
-    The multiplicity of nu is <ram_character(lam, .), chi^nu>, the sum over
-    classes rho of ram_character(lam, rho) chi^nu(rho) / z_rho.  Ram's value
-    does not depend on g, and once |lam| <= k is checked, g = k always passes
-    its length check.
-    """
-    lam = Partition(lam)
-    _paired_points(lam, k)
-    character = {
-        tuple(rho): Fraction(ram_character(lam, rho, k), _centralizer(rho))
-        for rho in partitions_of(k)
-    }
-    table = ((nu.conjugate(), _pair(nu, character)) for nu in partitions_of(k))
-    return dict(sorted(((nu, m) for nu, m in table if m), reverse=True))
-
-
-def _centralizer(rho) -> int:
-    """z_rho = prod_m m^a_m a_m!, the order of the centralizer of a permutation
-    of cycle type rho, where rho has a_m parts m."""
-    return prod(m**a * factorial(a) for m, a in Counter(rho).items())
-
-
-def _rank(vectors: list[SparseTensor]) -> int:
-    """Rank over Q of a family of sparse tensors, by Gaussian elimination."""
-    rows: list[dict[bytes, Fraction]] = []
-    for v in vectors:
-        if not v.is_zero():
-            rows.append({w: Fraction(c) for w, c in v._terms.items()})
-    pivots: dict[bytes, dict[bytes, Fraction]] = {}
-    for row in rows:
-        while row:
-            key = min(row)
-            if key not in pivots:
-                inv = Fraction(1) / row[key]
-                pivots[key] = {w: c * inv for w, c in row.items()}
-                break
-            factor = row[key]
-            _accumulate(row, ((w, -factor * c) for w, c in pivots[key].items()), "rank")
-    return len(pivots)
-
-
-def span_equality_check(lam, j: int, k: int, g: int) -> bool:
-    """Do the diagram translates of the maximal vector span no more than its
-    symmetric group translates?  Exact rank comparison over Q."""
-    lam = Partition(lam)
-    if lam.size + 2 * j != k:
-        raise ValueError("need |lam| + 2j = k")
-    vector = sp_maximal_vector(lam, j, g)
-    diagram_orbit = [act_twisted_diagram(vector, d) for d in all_diagrams(k)]
-    perm_orbit = [
-        act_perm(vector, PermAlgebraElement._raw((k,), {tuple(sigma): 1}))
-        for sigma in itertools.permutations(range(k))
-    ]
-    rank_perm = _rank(perm_orbit)
-    rank_diagram = _rank(diagram_orbit)
-    rank_all = _rank(diagram_orbit + perm_orbit)
-    return rank_perm == rank_all == rank_diagram

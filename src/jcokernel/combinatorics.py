@@ -203,52 +203,7 @@ def _mn(nu: Partition, parts: tuple[int, ...]) -> int:
     return total
 
 
-def mult_gl_in_cyclic(lam, n: int) -> int:
-    """Multiplicity of the GL(n) module `lam` in the cyclic quotient of H^(x)k.
-
-    Stable for n >= k+2 (k = |lam|); smaller ranks are rejected rather than
-    extrapolated.
-    """
-    lam = Partition(lam)
-    k = lam.size
-    if n < k + 2:
-        raise ValueError(f"stable range requires n >= {k + 2}, got {n}")
-    return kw_multiplicity(lam, 0)
-
-
-def mult_gl_in_free_lie(lam, n: int) -> int:
-    """Multiplicity of the GL(n) module `lam` in the degree-|lam| free Lie part."""
-    lam = Partition(lam)
-    m = lam.size
-    if n < m:
-        raise ValueError(f"stable range requires n >= {m}, got {n}")
-    return kw_multiplicity(lam, 1)
-
-
-def mult_gl_in_h(lam, g: int) -> int:
-    """GL(2g) multiplicity of `lam` in the bracket-map kernel of degree |lam|-2.
-
-    Computed as the multiplicity in H (x) FreeLie(k+1) minus the multiplicity
-    in FreeLie(k+2); the surjectivity of the bracket map makes the difference
-    the kernel multiplicity, so a negative value signals a bug.
-    """
-    lam = Partition(lam)
-    n = 2 * g
-    if lam.size < 3:
-        raise ValueError("lam must be a partition of k+2 with k >= 1")
-    if lam.length > n:
-        raise ValueError(f"length of lambda exceeds 2g={n}")
-    if n < lam.size + 2:
-        raise ValueError(f"stable range requires 2g >= {lam.size + 2}, got {n}")
-    in_tensor = sum(mult_gl_in_free_lie(mu, n) for mu in lam.remove_node())
-    in_lie = mult_gl_in_free_lie(lam, n)
-    result = in_tensor - in_lie
-    if result < 0:
-        raise RuntimeError(f"negative kernel multiplicity for {lam}: inconsistent rules")
-    return result
-
-
-SOURCES = ("h", "cyclic", "tensor_power")
+SOURCES = ("h", "cyclic")
 
 # A power-sum polynomial is a dict {cycle type: Fraction}; a cycle type is a
 # plain tuple of parts in decreasing order, read as the monomial prod_i p_{rho_i}.
@@ -280,10 +235,8 @@ def _frobenius_character(source: str, k: int) -> dict[tuple[int, ...], Fraction]
         for rho, c in _cyclic_character(k + 2, 1).items():
             out[rho] = out.get(rho, 0) - c
         return out
-    if source == "cyclic":
-        # Coinvariants of the rotation C_k acting on H^(x)k.
-        return _cyclic_character(k, 0)
-    return {(1,) * k: Fraction(1)}
+    # Coinvariants of the rotation C_k acting on H^(x)k.
+    return _cyclic_character(k, 0)
 
 
 @cache
@@ -359,9 +312,8 @@ def _pair(mu: Partition, terms: dict[tuple[int, ...], Fraction]) -> int:
 def _check_module(source: str, k: int, g: int) -> None:
     if source not in SOURCES:
         raise ValueError(f"unknown source {source!r}; expected one of {SOURCES}")
-    least = 0 if source == "tensor_power" else 1
-    if k < least:
-        raise ValueError(f"k must be at least {least} for source {source!r}, got k = {k}")
+    if k < 1:
+        raise ValueError(f"k must be at least 1 for source {source!r}, got k = {k}")
     if g < k + 2:
         raise ValueError(f"stable range requires g >= {k + 2}, got {g}")
 
@@ -369,9 +321,8 @@ def _check_module(source: str, k: int, g: int) -> None:
 def mult_sp_in_module(mubar, source: str, k: int, g: int) -> int:
     """Multiplicity of the Sp(2g) irreducible `mubar` in a named module.
 
-    `source` is one of "h" (bracket-map kernel, degree k), "cyclic" (cyclic
-    quotient of H^(x)k) or "tensor_power" (H^(x)k itself).  Requires the
-    stable range g >= k+2.
+    `source` is one of "h" (bracket-map kernel, degree k) or "cyclic" (cyclic
+    quotient of H^(x)k).  Requires the stable range g >= k+2.
     """
     mubar = Partition(mubar)
     _check_module(source, k, g)

@@ -66,16 +66,12 @@ def _fold(tensor: SparseTensor, start: int) -> SparseTensor:
     return result
 
 
-def rotation_cycle(m: int, i: int) -> PermAlgebraElement:
-    """sigma_i = s_{i-1}...s_1: rotate the first i slots, last of them to front."""
-    if not 2 <= i <= m:
-        raise ValueError(f"need 2 <= i <= {m}")
-    return _rotation(m, 0, i)
-
-
 def full_cycle(m: int) -> PermAlgebraElement:
-    """The full rotation sigma_m; has order m."""
-    return rotation_cycle(m, m)
+    """The full rotation sigma_m = s_{m-1}...s_1, the last slot to the front,
+    as sigma_i rotates the first i slots; has order m."""
+    if m < 2:
+        raise ValueError(f"need 2 <= i <= {m}")
+    return _rotation(m, 0, m)
 
 
 def theta(m: int) -> PermAlgebraElement:
@@ -128,19 +124,6 @@ def rotation_orbit_sum(tensor: SparseTensor) -> SparseTensor:
     # for the [1^5] candidate at g=7).  The result stays alive through every
     # later stage, so return a copy sized for the surviving terms.
     return SparseTensor._raw(tensor._shape, dict(total))
-
-
-def left_normed_bracket(letters, n: int) -> SparseTensor:
-    """The left-normed bracket [v_1, v_2, ..., v_m] inside tensor degree m,
-    via [x, y] = x (x) y - y (x) x applied recursively."""
-    letters = tuple(letters)
-    if not letters:
-        raise ValueError("need at least one letter")
-    result = SparseTensor.basis_word(n, letters[:1])
-    for letter in letters[1:]:
-        single = SparseTensor.basis_word(n, (letter,))
-        result = result.tensor(single) - single.tensor(result)
-    return result
 
 
 @dataclass(frozen=True)

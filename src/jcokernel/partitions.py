@@ -1,15 +1,9 @@
-"""Integer partitions, standard tableau enumeration, and the classical
-dimension formulas.
-
-Everything here is exact: dimensions come out as Python ints, intermediate
-ratios as :class:`fractions.Fraction`.
-"""
+"""Integer partitions, standard tableau enumeration and counting."""
 
 from __future__ import annotations
 
 import itertools
 import operator
-from fractions import Fraction
 from functools import cache
 from math import factorial
 from typing import Iterator
@@ -65,26 +59,13 @@ class Partition(tuple):
             return False
         return all(o <= s for s, o in zip(self, other))
 
-    def cells(self) -> Iterator[tuple[int, int]]:
-        """All (row, col) cells, 0-indexed."""
-        for r, part in enumerate(self):
-            for c in range(part):
-                yield r, c
-
     def hook_lengths(self) -> tuple[tuple[int, ...], ...]:
-        """Hook length of every cell, one tuple per row, in `cells()` order."""
+        """Hook length of every cell, one tuple per row, left to right."""
         conj = self.conjugate()
         return tuple(
             tuple(part - c + conj[c] - r - 1 for c in range(part))
             for r, part in enumerate(self)
         )
-
-    def remove_node(self) -> Iterator["Partition"]:
-        """Partitions obtained by removing one removable corner cell."""
-        for i, part in enumerate(self):
-            below = self[i + 1] if i + 1 < len(self) else 0
-            if part > below:
-                yield Partition(self[:i] + (part - 1,) + self[i + 1 :])
 
     def __repr__(self) -> str:
         return f"Partition{tuple(self)}"
@@ -169,35 +150,3 @@ def syt_count(shape) -> int:
         for hook in row:
             result //= hook
     return result
-
-
-def gl_dimension(shape, n: int) -> int:
-    """Dimension of the polynomial GL(n) irreducible, hook content formula."""
-    shape = Partition(shape)
-    if shape.length > n:
-        return 0
-    result = Fraction(1)
-    for r, row in enumerate(shape.hook_lengths()):
-        for c, hook in enumerate(row):
-            result *= Fraction(n + c - r, hook)
-    if result.denominator != 1:
-        raise RuntimeError(f"non-integral GL({n}) dimension {result} for {shape}")
-    return result.numerator
-
-
-def sp_dimension(shape, g: int) -> int:
-    """Dimension of the Sp(2g) irreducible, Weyl formula for type C."""
-    shape = Partition(shape)
-    if shape.length > g:
-        raise ValueError(f"partition length {shape.length} exceeds g={g}")
-    lam = list(shape) + [0] * (g - shape.length)
-    l = [lam[i] + g - i for i in range(g)]
-    m = [g - i for i in range(g)]
-    result = Fraction(1)
-    for i in range(g):
-        result *= Fraction(l[i], m[i])
-        for j in range(i + 1, g):
-            result *= Fraction(l[i] ** 2 - l[j] ** 2, m[i] ** 2 - m[j] ** 2)
-    if result.denominator != 1:
-        raise RuntimeError(f"non-integral Sp({2 * g}) dimension {result} for {shape}")
-    return result.numerator

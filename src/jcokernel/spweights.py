@@ -87,14 +87,6 @@ def sp_raising_operators(g: int) -> list[LieOperator]:
     return ops
 
 
-def raising_operators(mode: str, g: int) -> list[LieOperator]:
-    if mode == "gl":
-        return gl_raising_operators(2 * g)
-    if mode == "sp":
-        return sp_raising_operators(g)
-    raise ValueError(f"mode must be 'gl' or 'sp', got {mode!r}")
-
-
 def form_compatible(op: LieOperator, space: SymplecticSpace) -> bool:
     """Check <Xe_i, e_j> + <e_i, Xe_j> = 0 over the whole basis."""
     for i in range(1, space.n + 1):

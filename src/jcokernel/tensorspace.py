@@ -15,7 +15,7 @@ import itertools
 import json
 from fractions import Fraction
 from functools import cache
-from math import factorial, prod
+from math import factorial
 from operator import itemgetter
 
 from .partitions import Partition
@@ -277,6 +277,8 @@ class SparseTensor(_Combination):
         return cls(len(word), n, {word: 1})
 
     def __add__(self, other: "SparseTensor") -> "SparseTensor":
+        if type(other) is not SparseTensor:
+            return NotImplemented
         if self._shape != other._shape:
             raise ValueError("add: mismatched degree or alphabet")
         return self._sum(other, "add")
@@ -379,25 +381,11 @@ class PermAlgebraElement(_Combination):
         return cls(len(tuple(sigma)), {tuple(sigma): coeff})
 
     def __add__(self, other):
-        other = self._coerce(other)
+        if type(other) is not PermAlgebraElement:
+            return NotImplemented
         if self._shape != other._shape:
             raise ValueError("degree mismatch")
         return self._sum(other, "PermAlgebraElement.add")
-
-    def __radd__(self, other):
-        return self + other
-
-    def __rsub__(self, other):
-        return self._coerce(other) + (self * -1)
-
-    def _coerce(self, value) -> "PermAlgebraElement":
-        if isinstance(value, PermAlgebraElement):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return PermAlgebraElement._raw(
-                self._shape, {tuple(range(self.degree)): value} if value else {}
-            )
-        raise TypeError(f"cannot combine PermAlgebraElement with {value!r}")
 
     def __mul__(self, other):
         if not isinstance(other, PermAlgebraElement):
@@ -576,58 +564,6 @@ def cyclic_project(tensor: SparseTensor) -> CyclicVector:
     return CyclicVector._raw((tensor.degree, tensor.n), out)
 
 
-def _column_major_positions(lam: Partition):
-    """Row and column position blocks of the column-major filling of lam."""
-    conj = lam.conjugate()
-    rows: list[list[int]] = [[] for _ in range(lam.length)]
-    cols: list[list[int]] = []
-    pos = 0
-    for height in conj:
-        col = list(range(pos, pos + height))
-        pos += height
-        cols.append(col)
-        for r, p in enumerate(col):
-            rows[r].append(p)
-    return rows, cols
-
-
-def _block_group(degree: int, blocks, signed: bool) -> PermAlgebraElement:
-    terms: dict[tuple[int, ...], Coeff] = {}
-    perms_per_block = [list(itertools.permutations(block)) for block in blocks]
-    for choice in itertools.product(*perms_per_block):
-        sigma = list(range(degree))
-        sign = 1
-        for block, image in zip(blocks, choice):
-            for src, dst in zip(block, image):
-                sigma[src] = dst
-            if signed:
-                index = {p: q for q, p in enumerate(block)}
-                sign *= _perm_sign(tuple(index[v] for v in image))
-        terms[tuple(sigma)] = sign if signed else 1
-    return PermAlgebraElement._raw((degree,), terms)
-
-
-def young_symmetrizer(lam) -> PermAlgebraElement:
-    """Unnormalized Young symmetrizer for the column-major filling of lam.
-
-    Row-group sum times signed column-group sum; satisfies c*c = m*c for a
-    positive rational m.  Acting on the column word e_1..e_h e_1..e_h' ... it
-    reproduces the wedge-product maximal vector up to the positive integer
-    factor prod(lam_i!).
-    """
-    lam = Partition(lam)
-    degree = lam.size
-    rows, cols = _column_major_positions(lam)
-    return _block_group(degree, rows, signed=False) * _block_group(
-        degree, cols, signed=True
-    )
-
-
-def young_row_factor(lam) -> int:
-    """The scale prod(lam_i!) relating word * symmetrizer to the wedge form."""
-    return prod(factorial(p) for p in Partition(lam))
-
-
 def gl_maximal_vector(lam, n: int) -> SparseTensor:
     """Tensor product of column antisymmetrizers e_1 ^ .. ^ e_h over columns."""
     lam = Partition(lam)
@@ -637,17 +573,3 @@ def gl_maximal_vector(lam, n: int) -> SparseTensor:
     for height in lam.conjugate():
         result = result.tensor(wedge(range(1, height + 1), n))
     return result
-
-
-def sp_maximal_vector(lam, j: int, g: int) -> SparseTensor:
-    """omega^(x)j tensor the GL column wedge vector; degree |lam| + 2j."""
-    lam = Partition(lam)
-    if lam.length > g:
-        raise ValueError(f"partition length exceeds g={g}")
-    if j < 0:
-        raise ValueError("j must be nonnegative")
-    result = SparseTensor(0, 2 * g, {b"": 1})
-    om = omega(g)
-    for _ in range(j):
-        result = result.tensor(om)
-    return result.tensor(gl_maximal_vector(lam, 2 * g))

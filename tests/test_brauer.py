@@ -17,13 +17,9 @@ from jcokernel.brauer import (
     _random_tensor as random_tensor,
     _relation_pairs,
     act_twisted,
-    act_twisted_diagram,
-    all_diagrams,
     check_relations,
     compose_diagrams,
     ram_character,
-    restriction_multiset,
-    span_equality_check,
 )
 from jcokernel.cli import main
 from jcokernel.combinatorics import (
@@ -41,8 +37,14 @@ from jcokernel.tensorspace import (
     SymplecticSpace,
     act_perm,
     omega,
-    sp_maximal_vector,
     _perm_sign,
+)
+from oracles import (
+    act_twisted_diagram,
+    all_diagrams,
+    restriction_multiset,
+    sp_maximal_vector,
+    span_equality_check,
 )
 
 

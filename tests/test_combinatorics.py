@@ -6,6 +6,7 @@ from math import factorial, gcd
 
 import pytest
 
+from jcokernel.brauer import ram_character
 from jcokernel.combinatorics import (
     SOURCES,
     _pair,
@@ -13,23 +14,13 @@ from jcokernel.combinatorics import (
     gl_to_sp_branching,
     kw_multiplicity,
     lr_coefficient,
-    mult_gl_in_cyclic,
-    mult_gl_in_free_lie,
-    mult_gl_in_h,
     mult_sp_in_module,
     sk_character,
     sp_decomposition,
     witt_rank,
 )
-from jcokernel.partitions import (
-    CycleType,
-    Partition,
-    gl_dimension,
-    partitions_of,
-    sp_dimension,
-    standard_tableaux,
-    syt_count,
-)
+from jcokernel.partitions import CycleType, Partition, partitions_of, standard_tableaux, syt_count
+from oracles import gl_dimension, mult_gl_in_h, sp_dimension
 from test_partitions import major_index
 
 
@@ -78,7 +69,8 @@ def lr_oracle(outer, inner, weight) -> int:
 
 
 def gl_module_multiplicities(source: str, k: int, g: int) -> dict[Partition, int]:
-    """GL(2g) multiplicities of a named module, from major-index residues."""
+    """GL(2g) multiplicities of a named module, from major-index residues;
+    "tensor_power" is H^(x)k itself, where lam occurs f^lam times."""
     n = 2 * g
     if source == "h":
         return {lam: mult_gl_in_h(lam, g) for lam in partitions_of(k + 2, max_length=n)}
@@ -318,22 +310,22 @@ def test_sk_character_orthogonality():
 
 
 def test_mult_gl_in_cyclic():
-    assert mult_gl_in_cyclic((1,) * 5, 7) == 1
-    assert mult_gl_in_cyclic((1,) * 4, 6) == 0
+    # The GL multiplicity of lam in the cyclic quotient is kw_multiplicity(lam, 0).
+    assert kw_multiplicity((1,) * 5, 0) == 1
+    assert kw_multiplicity((1,) * 4, 0) == 0
     for k in range(1, 7):
-        assert mult_gl_in_cyclic((k,), k + 2) == 1
-    with pytest.raises(ValueError):
-        mult_gl_in_cyclic((1, 1, 1), 4)
+        assert kw_multiplicity((k,), 0) == 1
 
 
 def test_mult_gl_in_free_lie():
+    # The GL multiplicity of lam in the free Lie part is kw_multiplicity(lam, 1).
     for m in range(3, 9):
-        assert mult_gl_in_free_lie((m - 1, 1), m) == 1
-        assert mult_gl_in_free_lie((1,) * m, m) == 0
-    assert mult_gl_in_free_lie((1, 1), 2) == 1
+        assert kw_multiplicity((m - 1, 1), 1) == 1
+        assert kw_multiplicity((1,) * m, 1) == 0
+    assert kw_multiplicity((1, 1), 1) == 1
     for k in range(3, 8, 2):
         # chi^1 multiplicity of the (k,1,1) shape in degree k+2, odd case
-        assert mult_gl_in_free_lie((k, 1, 1), k + 2) == (k - 1) // 2
+        assert kw_multiplicity((k, 1, 1), 1) == (k - 1) // 2
 
 
 def test_mult_gl_in_h_examples():
@@ -368,13 +360,13 @@ def test_headline_laws_for_every_k_up_to_60():
 
 
 def test_mult_sp_in_tensor_power_matches_brauer_dim():
+    # The Sp multiplicity of lam in H^(x)k is Ram's character at the identity.
     for k in range(2, 7):
         g = k + 2
+        identity = CycleType((1,) * k)
         for j in range(0, k // 2 + 1):
             for lam in partitions_of(k - 2 * j, max_length=g):
-                assert mult_sp_in_module(lam, "tensor_power", k, g) == brauer_dim(
-                    lam, k, g
-                )
+                assert ram_character(lam, identity, g) == brauer_dim(lam, k, g)
 
 
 def test_mult_sp_rejects_unstable_range():
@@ -391,12 +383,21 @@ def test_mult_sp_refuses_a_non_integral_weight():
 def test_power_sum_core_matches_lr_oracle():
     # Same entries in the same order, so the CLI bytes cannot move.
     cases = [(s, k) for s in ("h", "cyclic") for k in range(1, 11)]
-    cases += [("tensor_power", k) for k in range(1, 8)]
     for source, k in cases:
         for g in (k + 2, k + 3) if k <= 5 else (k + 2,):
             got = sp_decomposition(source, k, g)
             assert list(got.items()) == list(sp_decomposition_oracle(source, k, g).items())
             assert all(type(m) is int for m in got.values())
+    # H^(x)k decomposes by Ram's character at the identity.
+    for k in range(1, 8):
+        identity = CycleType((1,) * k)
+        for g in (k + 2, k + 3) if k <= 5 else (k + 2,):
+            got = {
+                lam: ram_character(lam, identity, g)
+                for j in range(k // 2 + 1)
+                for lam in partitions_of(k - 2 * j)
+            }
+            assert got == sp_decomposition_oracle("tensor_power", k, g)
 
 
 def test_mult_sp_in_module_matches_decomposition_and_oracle():
@@ -434,10 +435,10 @@ def test_module_arguments_are_checked():
                 sp_decomposition(source, k, 3)
             with pytest.raises(ValueError, match=re.escape(message)):
                 mult_sp_in_module((), source, k, 3)
-    with pytest.raises(ValueError, match="got k = -1"):
-        sp_decomposition("tensor_power", -1, 3)
-    assert sp_decomposition("tensor_power", 0, 2) == {Partition(()): 1}
-    assert mult_sp_in_module((), "tensor_power", 0, 2) == 1
+    with pytest.raises(ValueError, match="unknown source 'tensor_power'"):
+        sp_decomposition("tensor_power", 3, 5)
+    with pytest.raises(ValueError, match="unknown source 'tensor_power'"):
+        mult_sp_in_module((3,), "tensor_power", 3, 5)
     with pytest.raises(ValueError, match="unknown source 'free'"):
         sp_decomposition("free", 3, 5)
     with pytest.raises(ValueError, match="unknown source 'free'"):
@@ -459,11 +460,10 @@ def test_sp_decomposition_of_h_small_table():
 
 
 def test_witt_cross_check_against_free_lie_multiplicities():
-    # The stable-range precondition n >= |lam| confines the check to k <= n.
     for n in (4, 5, 6, 7, 8):
-        for k in range(1, min(6, n) + 1):
+        for k in range(1, 7):
             total = sum(
-                mult_gl_in_free_lie(lam, n) * gl_dimension(lam, n)
+                kw_multiplicity(lam, 1) * gl_dimension(lam, n)
                 for lam in partitions_of(k, max_length=n)
             )
             assert total == witt_rank(n, k)

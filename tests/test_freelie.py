@@ -25,7 +25,6 @@ from jcokernel.freelie import (
     full_cycle,
     is_in_h,
     is_lie_element,
-    left_normed_bracket,
     phi_candidate,
     rotation_orbit_sum,
     theta,
@@ -42,6 +41,7 @@ from jcokernel.tensorspace import (
     omega,
     wedge,
 )
+from oracles import left_normed_bracket
 from test_detector import WINDOW_GRID
 
 
@@ -69,7 +69,7 @@ def bracket_oracle(letters, n):
 
 
 def test_theta_degree_two():
-    assert theta(2) == 1 - PermAlgebraElement.transposition(2, 1)
+    assert theta(2) == PermAlgebraElement.identity(2) - PermAlgebraElement.transposition(2, 1)
 
 
 def test_theta_quasi_idempotency():
@@ -96,7 +96,7 @@ def test_dsw_projection_idempotent_on_random_tensors():
 
 def test_theta_stabilizer_degree_three():
     s2 = PermAlgebraElement.transposition(3, 2)
-    assert theta_stabilizer(1) == 1 - s2
+    assert theta_stabilizer(1) == PermAlgebraElement.identity(3) - s2
 
 
 def test_theta_stabilizer_fixes_first_slot():

@@ -6,12 +6,7 @@ from math import factorial
 import pytest
 
 import jcokernel.tensorspace as tensorspace
-from jcokernel.brauer import (
-    BrauerDiagram,
-    BrauerElement,
-    _random_tensor as random_tensor,
-    act_twisted_diagram,
-)
+from jcokernel.brauer import BrauerDiagram, BrauerElement, _random_tensor as random_tensor
 from jcokernel.partitions import partitions_of
 from jcokernel.spweights import word_weight
 from jcokernel.tensorspace import (
@@ -29,11 +24,9 @@ from jcokernel.tensorspace import (
     omega,
     rat_str,
     set_term_limit,
-    sp_maximal_vector,
     wedge,
-    young_row_factor,
-    young_symmetrizer,
 )
+from oracles import act_twisted_diagram, sp_maximal_vector, young_row_factor, young_symmetrizer
 
 
 def random_perm_element(rng, degree, nterms=3):
@@ -186,7 +179,7 @@ def test_antisymmetrizer_projector_structure():
     rng = random.Random(5)
     t = random_tensor(rng, 3, 4)
     s1 = PermAlgebraElement.transposition(3, 1)
-    anti = act_perm(t, 1 - s1)
+    anti = act_perm(t, PermAlgebraElement.identity(3) - s1)
     assert act_perm(anti, s1) == -1 * anti
 
 
@@ -223,7 +216,10 @@ def test_act_perm_matches_per_letter_reference():
             ]
             if degree >= 2:
                 # Kills every word whose first two letters agree.
-                elements.append(1 - PermAlgebraElement.transposition(degree, 1))
+                elements.append(
+                    PermAlgebraElement.identity(degree)
+                    - PermAlgebraElement.transposition(degree, 1)
+                )
             for element in elements:
                 expected = act_perm_reference(t, element)
                 assert dict(act_perm(t, element).terms()) == expected
@@ -434,6 +430,23 @@ def test_coefficients_and_scalars_are_exact(make):
             inexact * half
         with pytest.raises(TypeError):
             make(inexact)
+
+
+@pytest.mark.parametrize("make", EXACT_ELEMENTS.values(), ids=EXACT_ELEMENTS.keys())
+def test_adding_a_foreign_operand_raises_type_error(make):
+    # A scalar is no element: 1 is not read as the identity permutation.
+    element = make(1)
+    for foreign in (0, 1, Fraction(1, 2), "x", omega(2), PermAlgebraElement.identity(2)):
+        if type(foreign) is type(element):
+            continue
+        for combine in (
+            lambda: element + foreign,
+            lambda: foreign + element,
+            lambda: element - foreign,
+            lambda: foreign - element,
+        ):
+            with pytest.raises(TypeError):
+                combine()
 
 
 def test_tensor_times_tensor_is_rejected():
