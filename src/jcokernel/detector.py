@@ -20,9 +20,10 @@ from .freelie import (
     _family,
     _in_h_block,
     _pair_blocks,
+    _projector_word,
     closed_form_phi,
+    family_factors,
     family_preconditions,
-    family_seed,
 )
 from .spweights import Weight, is_maximal
 from .tensorspace import (
@@ -93,23 +94,34 @@ def detect(family: str, k: int, g: int, force: bool = False) -> DetectionReport:
 
     Every stage runs on the window of the first w = min(g, t + 2) symplectic
     pairs, where the seed's letters are 1..t, and extends exactly to genus g.
-    One seed (`family_seed`) is built and grouped once: the candidate
-    seed . x, x = theta_P (1 + sigma + ... + sigma^(k+1)), is its letter-block
-    index (`freelie.LetterBlocks`) mapped through x by `_pair_blocks`, and
-    every stage reads that index; it is never assembled.  The fold, the
-    orbit sum, the closed form on a pair (its D_{i,i+r} with pair p's letters
-    is a place permutation of omega_p (x) seed) and the kernel criterion
-    each multiply a block's seed part by an element of the place-permutation
-    algebra, which commutes with every renaming of letters, so a renaming
-    that maps pair r's seed part onto eps times pair j's carries every
-    per-block result, on the window and at g.  So the closed form is compared
-    on the reps, and the kernel criterion (`_in_h_block`) run on the nonzero
-    reps as they stand.  Maximality is computed on the same seed and carried
-    to the candidate: a raising operator acts letter by letter, so
-    X(seed . x) = X(seed) . x, and the candidate is maximal of the seed's
-    weight whenever it is nonzero, that is, whenever some rep is.  X_1..X_w
-    meet every kind of raising operator at g, and the weight at g is padded
-    with zeros.  The contraction is read per letter block (`_extend_contraction`).
+    One seed omega_w (x) v is built from its two factors (`family_factors`)
+    and grouped once: the candidate seed . x, x = theta_P (1 + sigma + ... +
+    sigma^(k+1)), is its letter-block index (`freelie.LetterBlocks`) mapped
+    through x by `_pair_blocks`, and every stage reads that index; it is
+    never assembled.  The fold, the orbit sum and the closed form on a pair
+    (its D_{i,i+r} with pair p's letters is a place permutation of
+    omega_p (x) seed) each multiply a block's seed part by an element of the
+    place-permutation algebra, which commutes with every renaming of
+    letters, so a renaming that maps pair r's seed part onto eps times pair
+    j's carries every per-block result, on the window and at g.  So the
+    closed form is compared on the reps.
+
+    The two certificates are computed on the smallest object that proves
+    them.  Kernel membership: every word u of the seed at any genus is the
+    image of w = 1 2 ... k+2 under the letter map i -> u[i-1], which
+    commutes with place permutations, so when w . x meets the criterion of
+    `_in_h_block` (`_projector_word`, at most (k+2) 2^k terms) the whole
+    candidate lies in h(k).  That word is tested when it is smaller than
+    the nonzero reps together, and the reps as they stand otherwise, or if
+    the word fails.  Maximality: a raising operator X acts letter by letter,
+    so X(seed . x) = X(seed) . x, and by the Leibniz rule X(omega (x) v) =
+    X(omega) (x) v + omega (x) X(v); so `is_maximal` runs on omega_w (2w
+    words) and on v.  The two terms differ in the weight of their first two
+    letters, so the seed is maximal exactly when both factors are, and the
+    candidate is then maximal of v's weight (omega has weight 0) whenever
+    it is nonzero, that is, whenever some rep is.  X_1..X_w meet every kind
+    of raising operator at g, and the weight at g is padded with zeros.  The
+    contraction is read per letter block (`_extend_contraction`).
     """
     problem = family_preconditions(family, k, g)
     if problem and not force:
@@ -120,8 +132,8 @@ def detect(family: str, k: int, g: int, force: bool = False) -> DetectionReport:
     entry = _checked_family(family, k, g)
     genus = SymplecticSpace(g)
     w = min(g, entry.partition(k).length + 2)
-    seed = family_seed(family, k, w)
-    blocks = _pair_blocks(seed, k)
+    form, top = family_factors(family, k, w)
+    blocks = _pair_blocks(form.tensor(top), k)
     closed_form_agrees: bool | None = None
     if not out_of_range:
         closed_form_agrees = all(
@@ -130,12 +142,15 @@ def detect(family: str, k: int, g: int, force: bool = False) -> DetectionReport:
         )
 
     nonzero = [rep for rep in blocks.reps.values() if not rep.is_zero()]
-    in_kernel = all(_in_h_block(rep, k) for rep in nonzero)
+    word_route = (k + 2) << k < sum(rep.support_size() for rep in nonzero)
+    in_kernel = (word_route and _in_h_block(_projector_word(k), k)) or all(
+        _in_h_block(rep, k) for rep in nonzero
+    )
     if not nonzero:
         maximal, weight = False, None
     else:
-        maximal, weight = is_maximal(seed, "sp")
-        if not maximal:
+        maximal, weight = is_maximal(top, "sp")
+        if not (maximal and is_maximal(form, "sp")[0]):
             raise RuntimeError(f"the seed of family {family} at k = {k} is not maximal")
         weight += (0,) * (g - w)
 

@@ -70,7 +70,7 @@ def full_cycle(m: int) -> PermAlgebraElement:
     """The full rotation sigma_m = s_{m-1}...s_1, the last slot to the front,
     as sigma_i rotates the first i slots; has order m."""
     if m < 2:
-        raise ValueError(f"need 2 <= i <= {m}")
+        raise ValueError(f"the full rotation needs degree >= 2, got m = {m}")
     return _rotation(m, 0, m)
 
 
@@ -223,6 +223,21 @@ def is_in_h(tensor: SparseTensor, k: int) -> bool:
     return all(_in_h_block(block, k) for block in _letter_blocks(tensor).reps.values())
 
 
+def _projector_word(k: int) -> SparseTensor:
+    """w . theta_P (1 + sigma + ... + sigma^(k+1)) for the word w = 1 2 ... k+2.
+
+    w has k+2 distinct letters, so a -> w . a is injective on Q[S_{k+2}],
+    and the image, of at most (k+2) 2^k terms, meets the criterion of
+    `_in_h_block` exactly when the averaged projector x does:
+    x theta_P = (k+1) x and x sigma = x.  Any word u of degree k+2 is the
+    image of w under the letter map i -> u[i-1], which commutes with every
+    place permutation, so u . x is that image of w . x: when this tensor
+    is in h(k), so is t . x for every tensor t of degree k+2.
+    """
+    word = SparseTensor.basis_word(k + 2, range(1, k + 3))
+    return rotation_orbit_sum(apply_theta_stabilizer(word, k))
+
+
 def averaged_projector(k: int) -> PermAlgebraElement:
     """theta_P (1 + sigma + ... + sigma^(k+1)); lands every vector in the
     bracket-map kernel."""
@@ -325,13 +340,21 @@ def _pair_blocks(seed: SparseTensor, k: int) -> LetterBlocks:
     return blocks.map(lambda block: rotation_orbit_sum(apply_theta_stabilizer(block, k)))
 
 
-def family_seed(family: str, k: int, g: int) -> SparseTensor:
-    """omega (x) the GL maximal vector of the family's partition at genus g:
-    omega (x) e_1^(x)k for family "[k]" and omega (x) wedge for family "[1^k]".
-    It is Sp maximal: omega is Sp invariant, and every Sp raising operator
-    sends a letter to a smaller one, so it kills the GL maximal vector."""
+def family_factors(family: str, k: int, g: int) -> tuple[SparseTensor, SparseTensor]:
+    """omega and the GL maximal vector of the family's partition at genus g:
+    e_1^(x)k for family "[k]" and the wedge e_1 ^ ... ^ e_k for "[1^k]".
+    Both are Sp maximal: omega is Sp invariant, and every Sp raising
+    operator sends a letter to a smaller one, so it kills the GL maximal
+    vector."""
     partition = _checked_family(family, k, g).partition
-    return omega(g).tensor(gl_maximal_vector(partition(k), 2 * g))
+    return omega(g), gl_maximal_vector(partition(k), 2 * g)
+
+
+def family_seed(family: str, k: int, g: int) -> SparseTensor:
+    """omega (x) the GL maximal vector of the family's partition at genus g,
+    the product of `family_factors`."""
+    form, top = family_factors(family, k, g)
+    return form.tensor(top)
 
 
 def phi_candidate(family: str, k: int, g: int, check: bool = True) -> SparseTensor:

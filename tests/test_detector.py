@@ -24,6 +24,7 @@ from jcokernel.freelie import (
     apply_theta_stabilizer,
     averaged_projector,
     closed_form_phi,
+    family_factors,
     family_preconditions,
     family_seed,
     is_in_h,
@@ -295,11 +296,26 @@ def test_block_contraction_builds_a_copy_that_breaks_a_dual_pair(monkeypatch):
 
 def test_detect_refuses_a_seed_that_is_not_maximal(monkeypatch):
     # omega (x) e_2^(x)k has one block per pair, as `_pair_blocks` needs, but
-    # X_1 moves it, so nothing carries to the candidate.
-    def seed(family, k, g):
-        return omega(g).tensor(SparseTensor.basis_word(2 * g, (2,) * k))
+    # X_1 moves its second factor, so nothing carries to the candidate.
+    def factors(family, k, g):
+        return omega(g), SparseTensor.basis_word(2 * g, (2,) * k)
 
-    monkeypatch.setattr(detector_module, "family_seed", seed)
+    monkeypatch.setattr(detector_module, "family_factors", factors)
+    with pytest.raises(RuntimeError, match=r"seed of family \[k\] at k = 3 is not maximal"):
+        detector_module.detect("[k]", 3, 5)
+
+
+def test_detect_refuses_a_first_factor_that_is_not_invariant(monkeypatch):
+    # omega with the sign of e_2 e_2' flipped still has one block per pair
+    # and weight 0, but X_1 moves it: maximality is checked on both factors.
+    def factors(family, k, g, _real=family_factors):
+        form, top = _real(family, k, g)
+        word = min(form._terms, key=lambda word: abs(word[0] - 2))
+        return SparseTensor(2, 2 * g, {**form._terms, word: -form._terms[word]}), top
+
+    assert is_maximal(factors("[k]", 3, 5)[1], "sp")[0]
+    assert not is_maximal(factors("[k]", 3, 5)[0], "sp")[0]
+    monkeypatch.setattr(detector_module, "family_factors", factors)
     with pytest.raises(RuntimeError, match=r"seed of family \[k\] at k = 3 is not maximal"):
         detector_module.detect("[k]", 3, 5)
 
@@ -315,22 +331,86 @@ def test_detect_never_assembles_the_candidate(family, k, g, monkeypatch):
 
 @pytest.mark.parametrize("family, k, g", WINDOW_GRID)
 def test_detect_builds_one_seed_and_groups_it_once(family, k, g, monkeypatch):
-    # Every stage reads the one letter-block index of the one seed.
+    # Every stage reads the one letter-block index of the one seed, built
+    # from the one pair of factors.
     calls = []
 
-    def seed_spy(family, k, g, _real=family_seed):
-        calls.append("family_seed")
+    def factors_spy(family, k, g, _real=family_factors):
+        calls.append("family_factors")
         return _real(family, k, g)
 
     def group_spy(tensor, _real=_letter_blocks):
         calls.append("_letter_blocks")
         return _real(tensor)
 
-    monkeypatch.setattr(freelie_module, "family_seed", seed_spy)
-    monkeypatch.setattr(detector_module, "family_seed", seed_spy)
+    monkeypatch.setattr(freelie_module, "family_factors", factors_spy)
+    monkeypatch.setattr(detector_module, "family_factors", factors_spy)
     monkeypatch.setattr(freelie_module, "_letter_blocks", group_spy)
     detect(family, k, g, force=True)
-    assert Counter(calls) == {"family_seed": 1, "_letter_blocks": 1}
+    assert Counter(calls) == {"family_factors": 1, "_letter_blocks": 1}
+
+
+def _spy_on_checks(monkeypatch):
+    """Record the reps `detect` builds, and the tensors it hands to
+    `_in_h_block` and to `is_maximal`."""
+    seen = {"reps": [], "kernel": [], "maximal": []}
+
+    def blocks_spy(seed, k, _real=_pair_blocks):
+        blocks = _real(seed, k)
+        seen["reps"] += [rep for rep in blocks.reps.values() if not rep.is_zero()]
+        return blocks
+
+    def kernel_spy(tensor, k, _real=detector_module._in_h_block):
+        seen["kernel"].append(tensor)
+        return _real(tensor, k)
+
+    def maximal_spy(tensor, mode, _real=is_maximal):
+        seen["maximal"].append(tensor)
+        return _real(tensor, mode)
+
+    monkeypatch.setattr(detector_module, "_pair_blocks", blocks_spy)
+    monkeypatch.setattr(detector_module, "_in_h_block", kernel_spy)
+    monkeypatch.setattr(detector_module, "is_maximal", maximal_spy)
+    return seen
+
+
+def test_detect_tests_the_projector_word_for_alternating_five(monkeypatch):
+    # 224 terms of w . x against 1,344 + 5,040 in the reps.
+    seen = _spy_on_checks(monkeypatch)
+    assert detect("[1^k]", 5, 7).in_h
+    [word] = seen["kernel"]
+    assert word.degree == 7 and word.support_size() <= 224
+    assert all(word is not rep for rep in seen["reps"])
+
+
+@pytest.mark.parametrize("k, g", [(15, 17), (11, 13), (3, 5)])
+def test_detect_tests_the_reps_of_symmetric_families(k, g, monkeypatch):
+    # At k = 15 w . x would have 557,056 terms against one rep of 272.
+    seen = _spy_on_checks(monkeypatch)
+    assert detect("[k]", k, g).in_h
+    assert len(seen["reps"]) > 0
+    assert all(t is rep for t, rep in zip(seen["kernel"], seen["reps"], strict=True))
+
+
+@pytest.mark.parametrize("family, k, g", WINDOW_GRID)
+def test_detect_checks_maximality_on_the_two_factors(family, k, g, monkeypatch):
+    # |v| + 2w words in all, never the seed; a zero candidate needs no check.
+    seen = _spy_on_checks(monkeypatch)
+    detect(family, k, g, force=True)
+    w = _window(family, k, g)
+    top = gl_maximal_vector(_family(family).partition(k), 2 * w)
+    assert seen["maximal"] == ([top, omega(w)] if seen["reps"] else [])
+
+
+def test_detect_falls_back_to_the_reps_when_the_word_fails(monkeypatch):
+    # A word image that fails the criterion certifies nothing, so the reps
+    # are tested as they stand and the candidate is still found in h(k).
+    monkeypatch.setattr(
+        detector_module, "_projector_word", lambda k: SparseTensor.basis_word(k + 2, [1] * (k + 2))
+    )
+    seen = _spy_on_checks(monkeypatch)
+    assert detect("[1^k]", 5, 7).in_h
+    assert seen["kernel"][1:] == seen["reps"] and len(seen["reps"]) == 2
 
 
 WINDOW_BLOCKS = [

@@ -16,6 +16,7 @@ from jcokernel.freelie import (
     _in_h_block,
     _letter_blocks,
     _pair_blocks,
+    _projector_word,
     apply_theta,
     apply_theta_stabilizer,
     averaged_projector,
@@ -210,6 +211,36 @@ def test_averaged_projector_lands_in_kernel():
     assert act_perm(SparseTensor.zero(4, 8), averaged_projector(2)).is_zero()
 
 
+@pytest.mark.parametrize("k", range(1, 9))
+def test_projector_word_certifies_the_identity(k):
+    # w = 1 2 ... k+2 has distinct letters, so w . x in h(k) is the identity
+    # x theta_P = (k+1) x, x sigma = x itself, not a sample of it.
+    image = _projector_word(k)
+    assert image.degree == k + 2 and 0 < image.support_size() <= (k + 2) << k
+    assert _in_h_block(image, k)
+    assert image == act_perm(SparseTensor.basis_word(k + 2, range(1, k + 3)), averaged_projector(k))
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 8])
+def test_projector_word_certificate_has_teeth(k):
+    # w . theta_P without the orbit sum meets the fold condition but not the
+    # rotation one; w . x with one coefficient changed fails too.
+    word = SparseTensor.basis_word(k + 2, range(1, k + 3))
+    folded = apply_theta_stabilizer(word, k)
+    assert _fold(folded, 1) == (k + 1) * folded
+    assert act_perm(folded, full_cycle(k + 2)) != folded
+    assert not _in_h_block(folded, k)
+    image = _projector_word(k)
+    least = min(image._terms)
+    changed = SparseTensor(k + 2, k + 2, {**image._terms, least: image._terms[least] + 1})
+    assert not _in_h_block(changed, k)
+
+
+def test_rotation_orbit_sum_refuses_degree_one():
+    with pytest.raises(ValueError, match=r"full rotation needs degree >= 2, got m = 1"):
+        rotation_orbit_sum(SparseTensor.basis_word(2, (1,)))
+
+
 def test_corollary_operator_identity_on_random_tensors():
     rng = random.Random(41)
     for k in (2, 3):
@@ -396,7 +427,9 @@ def test_every_block_is_the_closed_form_on_its_pair(family, k, g):
 
 @pytest.mark.parametrize("family, k, g", WINDOW_GRID)
 def test_block_criterion_agrees_with_is_in_h_on_reps_and_non_members(family, k, g):
-    # detect runs `_in_h_block` on the reps as they stand; is_in_h regroups.
+    # detect runs `_in_h_block` on the reps as they stand where they are
+    # smaller than the projector word, but it holds on every rep of the
+    # grid, the word-route cases too; is_in_h regroups.
     # Non-members: each pair block of the seed, each nonzero rep with one
     # coefficient changed, and each nonzero seed block folded by theta_P but
     # not orbit-summed, which meets t . theta_P = (k+1) t and fails only the
