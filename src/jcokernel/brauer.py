@@ -288,10 +288,15 @@ def _relation_pairs(k: int, delta: Coeff) -> tuple:
 
 
 def check_relations(k: int, g: int, rng=None) -> bool:
-    """Verify every defining relation diagrammatically and as operators.
+    """Verify every defining relation of B_k(-2g) diagrammatically.
 
-    The operator check applies both sides of each relation to a panel of
-    three random sparse tensors via the twisted action.
+    Both sides of each relation are multiplied out as Brauer elements and
+    compared.  The operator pass then applies both sides to a panel of three
+    random sparse tensors via the twisted action, but only once the two
+    sides are equal elements, so it checks no more than that `act_twisted`
+    depends on the element alone: an action that ignores its element passes.
+    That acting by a product equals acting by its factors in turn is checked
+    in `tests/test_brauer.py::test_twisted_action_is_right_action`.
     """
     if k < 2:
         raise ValueError("k must be at least 2")

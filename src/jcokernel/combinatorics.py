@@ -13,11 +13,14 @@ is built, and enumerating standard tableaux is kept as the test oracle.
 Sp(2g) multiplicities of the named modules come from one power-sum core:
 each module's Frobenius character has a handful of power-sum terms, and
 Littlewood's stable-range rule pairs D^perp of it with Schur functions
-through Murnaghan-Nakayama.  D^perp is one adjoint exponential,
-`_adjoint_exp` with sign -1; Ram's Brauer characters (`brauer.py`) apply the
-same routine with sign +1.  No program path computes a Littlewood-Richardson
-coefficient: `lr_coefficient` and `gl_to_sp_branching` stay public as the
-oracle the tests restrict GL multiplicities through.
+through Murnaghan-Nakayama: `sp_decomposition` builds each term's whole
+character column on bead masks and pairs it in integers, while the
+single-shape queries recurse through `_mn`.  D^perp is one adjoint
+exponential, `_adjoint_exp` with sign -1; Ram's Brauer characters
+(`brauer.py`) apply the same routine with sign +1.  No program path computes
+a Littlewood-Richardson coefficient: `lr_coefficient` and
+`gl_to_sp_branching` stay public as the oracle the tests restrict GL
+multiplicities through.
 """
 
 from __future__ import annotations
@@ -331,16 +334,68 @@ def mult_sp_in_module(mubar, source: str, k: int, g: int) -> int:
 
 
 def sp_decomposition(source: str, k: int, g: int) -> dict[Partition, int]:
-    """Full Sp(2g) decomposition of a named module, sorted by partition."""
+    """Full Sp(2g) decomposition of a named module, sorted by partition.
+
+    Each degree's terms c_sigma p_sigma are paired with every s_mu at once:
+    with L the lcm of the denominators, the integers c_sigma L times the
+    column chi^.(sigma) (`_mn_column`) are summed per bead mask and divided
+    by L, which must leave no remainder.
+    """
     _check_module(source, k, g)
     result: dict[Partition, int] = {}
     # Every degree is at most k+2 <= g, so no partition is too long for Sp(2g).
     for degree, terms in _sp_character(source, k).items():
-        for mubar in partitions_of(degree):
-            mult = _pair(mubar, terms)
+        scale = 1
+        for c in terms.values():
+            scale = scale * c.denominator // gcd(scale, c.denominator)
+        totals: dict[int, int] = {}
+        get = totals.get
+        for sigma, c in terms.items():
+            weight = c.numerator * (scale // c.denominator)
+            for mask, chi in _mn_column(sigma, degree).items():
+                totals[mask] = get(mask, 0) + weight * chi
+        for mask, total in totals.items():
+            mult, rest = divmod(total, scale)
+            if rest:
+                mu = _bead_partition(mask)
+                raise RuntimeError(f"non-integral multiplicity {Fraction(total, scale)} for {mu}")
             if mult:
-                result[mubar] = mult
+                result[_bead_partition(mask)] = mult
     return dict(sorted(result.items(), reverse=True))
+
+
+def _mn_column(parts: tuple[int, ...], d: int) -> dict[int, int]:
+    """chi^mu(parts) for every mu of size d = sum(parts), keyed by bead mask.
+
+    A partition mu of at most d rows is the mask with d beads, the bits
+    mu_i + d - i for i = 1..d, so the empty partition is (1 << d) - 1.
+    Adding an r-border strip moves a bead b to an empty b + r, with sign
+    (-1) to the number of beads strictly between them; the
+    Murnaghan-Nakayama rule adds one strip per part, in any order, and the
+    nonzero sums are kept.
+    """
+    column = {(1 << d) - 1: 1}
+    for r in parts:
+        step, inner = (1 << r) - 1, (1 << r) - 2
+        grown: dict[int, int] = {}
+        get = grown.get
+        for mask, c in column.items():
+            movable = mask & ~(mask >> r)
+            while movable:
+                low = movable & -movable
+                movable ^= low
+                new = mask + low * step
+                grown[new] = get(new, 0) + (-c if (mask & low * inner).bit_count() & 1 else c)
+        column = {mask: c for mask, c in grown.items() if c}
+    return column
+
+
+def _bead_partition(mask: int) -> Partition:
+    """The partition whose beads `mask` sets: each bead's part is the number
+    of empty positions below it."""
+    gaps = bin(mask)[2:].rstrip("1").split("1")[:0:-1]
+    # Gap counts accumulate to a partition: skip the validation.
+    return tuple.__new__(Partition, list(itertools.accumulate(map(len, gaps)))[::-1])
 
 
 def double_factorial_odd(j: int) -> int:

@@ -17,11 +17,11 @@ from .combinatorics import mult_sp_in_module
 from .freelie import (
     LetterBlocks,
     _checked_family,
+    _closed_form,
     _family,
     _in_h_block,
     _pair_blocks,
     _projector_word,
-    closed_form_phi,
     family_factors,
     family_preconditions,
 )
@@ -104,7 +104,9 @@ def detect(family: str, k: int, g: int, force: bool = False) -> DetectionReport:
     place-permutation algebra, which commutes with every renaming of
     letters, so a renaming that maps pair r's seed part onto eps times pair
     j's carries every per-block result, on the window and at g.  So the
-    closed form is compared on the reps.
+    closed form is compared on the reps.  The GL maximal vector v is built
+    once: its letters lie below w, so its words serve the closed form on
+    every rep and the seed word's rotation-quotient image at g.
 
     The two certificates are computed on the smallest object that proves
     them.  Kernel membership: every word u of the seed at any genus is the
@@ -136,9 +138,9 @@ def detect(family: str, k: int, g: int, force: bool = False) -> DetectionReport:
     blocks = _pair_blocks(form.tensor(top), k)
     closed_form_agrees: bool | None = None
     if not out_of_range:
+        coefficients = entry.coefficients(k)
         closed_form_agrees = all(
-            block == closed_form_phi(family, k, w, check=False, pair=r)
-            for r, block in blocks.reps.items()
+            block == _closed_form(top, coefficients, r) for r, block in blocks.reps.items()
         )
 
     nonzero = [rep for rep in blocks.reps.values() if not rep.is_zero()]
@@ -155,7 +157,8 @@ def detect(family: str, k: int, g: int, force: bool = False) -> DetectionReport:
         weight += (0,) * (g - w)
 
     image = cyclic_project(_extend_contraction(blocks, genus))
-    scalar = image.ratio_to(seed_projection(family, k, g))
+    # The seed word's letters lie below w, so at genus g it has the same words.
+    scalar = image.ratio_to(CyclicVector._raw((k, genus.n), cyclic_project(top)._terms))
 
     if closed_form_agrees is False:
         verdict = VERDICT_INCONSISTENT

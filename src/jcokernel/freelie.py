@@ -379,13 +379,17 @@ def closed_form_phi(
     if check:
         _check_preconditions(family, k, g)
     entry = _checked_family(family, k, g)
-    coefficients = entry.coefficients(k)
-    n = 2 * g
-    base = gl_maximal_vector(entry.partition(k), n)
+    return _closed_form(gl_maximal_vector(entry.partition(k), 2 * g), entry.coefficients(k), pair)
+
+
+def _closed_form(base: SparseTensor, coefficients, pair: int | None) -> SparseTensor:
+    """`closed_form_phi` on the GL maximal vector `base` it would build, with
+    the family's coefficients sign(r) binom(r) for r = 1..k+1."""
+    k = base.degree
     total: dict[bytes, int] = {}
     for i in range(1, k + 2):
         for r in range(1, k - i + 3):
             scale = 2 * coefficients[r - 1]
             terms = expansion(base, i, i + r, pair)._terms.items()
             _accumulate(total, ((word, coeff * scale) for word, coeff in terms), "add")
-    return SparseTensor._raw((k + 2, n), total)
+    return SparseTensor._raw((k + 2, base.n), total)

@@ -6,9 +6,14 @@ from math import factorial, gcd
 
 import pytest
 
+import jcokernel.combinatorics as combinatorics_module
+import jcokernel.partitions as partitions_module
 from jcokernel.brauer import ram_character
 from jcokernel.combinatorics import (
     SOURCES,
+    _bead_partition,
+    _mn,
+    _mn_column,
     _pair,
     brauer_dim,
     gl_to_sp_branching,
@@ -401,8 +406,10 @@ def test_power_sum_core_matches_lr_oracle():
 
 
 def test_mult_sp_in_module_matches_decomposition_and_oracle():
+    # The decomposition pairs whole bead-mask columns; `mult_sp_in_module`
+    # pairs one shape at a time through the `_mn` recursion.
     for source in SOURCES:
-        for k in range(1, 7):
+        for k in range(1, 13):
             g = k + 2
             table = sp_decomposition(source, k, g)
             for size in range(k + 3):
@@ -413,6 +420,34 @@ def test_mult_sp_in_module_matches_decomposition_and_oracle():
                         assert mult == mult_sp_oracle(mubar, source, k, g)
     # Larger than the module's degree: no component.
     assert mult_sp_in_module((1,) * 8, "h", 5, 7) == 0
+
+
+def test_mn_column_matches_the_recursion_in_either_part_order():
+    pairs = 0
+    for d in range(11):
+        for rho in partitions_of(d):
+            for parts in (tuple(rho), tuple(rho)[::-1]):
+                column = {_bead_partition(mask): chi for mask, chi in _mn_column(parts, d).items()}
+                assert 0 not in column.values()
+                for mu in partitions_of(d):
+                    assert column.get(mu, 0) == _mn(mu, tuple(rho)), (mu, parts)
+                pairs += len(partitions_of(d))
+    assert pairs == 2 * 3583
+
+
+def test_sp_decomposition_refuses_a_fractional_multiplicity(monkeypatch):
+    # (3 p_1^2 + p_2) / 4 = s_2 + s_11 / 2.
+    half = {2: {(1, 1): Fraction(3, 4), (2,): Fraction(1, 4)}}
+    monkeypatch.setattr(combinatorics_module, "_sp_character", lambda source, k: half)
+    with pytest.raises(RuntimeError, match=r"non-integral multiplicity 1/2 for Partition\(1, 1\)"):
+        sp_decomposition("h", 1, 3)
+
+
+def test_sp_decomposition_leaves_no_cache_behind():
+    caches = (combinatorics_module._mn, partitions_module._partitions_of)
+    before = [cache.cache_info().currsize for cache in caches]
+    sp_decomposition("h", 12, 14)
+    assert [cache.cache_info().currsize for cache in caches] == before
 
 
 def test_sp_decomposition_dimension_beyond_the_lr_reach():

@@ -89,12 +89,12 @@ def test_alternating_family_scalar_tracks_genus():
 def test_inconsistent_verdict_when_routes_disagree(monkeypatch):
     import jcokernel.detector as detector_module
 
-    def broken_closed_form(family, k, g, check=True, pair=None):
+    def broken_closed_form(base, coefficients, pair):
         from jcokernel.tensorspace import SparseTensor
 
-        return SparseTensor.zero(k + 2, 2 * g)
+        return SparseTensor.zero(base.degree + 2, base.n)
 
-    monkeypatch.setattr(detector_module, "closed_form_phi", broken_closed_form)
+    monkeypatch.setattr(detector_module, "_closed_form", broken_closed_form)
     report = detector_module.detect("[k]", 3, 5)
     assert report.closed_form_agrees is False
     assert report.verdict == "inconsistent"
@@ -350,6 +350,22 @@ def test_detect_builds_one_seed_and_groups_it_once(family, k, g, monkeypatch):
     assert Counter(calls) == {"family_factors": 1, "_letter_blocks": 1}
 
 
+@pytest.mark.parametrize("family, k, g", WINDOW_GRID)
+def test_detect_builds_the_gl_maximal_vector_once(family, k, g, monkeypatch):
+    # The window's vector serves the closed form on every rep and the seed
+    # word's image at genus g.
+    calls = []
+
+    def spy(lam, n, _real=gl_maximal_vector):
+        calls.append(n)
+        return _real(lam, n)
+
+    for module in (freelie_module, detector_module):
+        monkeypatch.setattr(module, "gl_maximal_vector", spy)
+    detect(family, k, g, force=True)
+    assert calls == [2 * min(g, _family(family).partition(k).length + 2)]
+
+
 def _spy_on_checks(monkeypatch):
     """Record the reps `detect` builds, and the tensors it hands to
     `_in_h_block` and to `is_maximal`."""
@@ -433,15 +449,15 @@ def test_detect_builds_vectors_on_the_window_only(family, k, g, window, folded, 
         calls.append(("_pair_blocks", seed.n // 2, sorted(blocks.reps)))
         return blocks
 
-    def closed_form_spy(family, k, g, check=True, pair=None, _real=closed_form_phi):
-        calls.append(("closed_form_phi", g, pair))
-        return _real(family, k, g, check=check, pair=pair)
+    def closed_form_spy(base, coefficients, pair, _real=freelie_module._closed_form):
+        calls.append(("_closed_form", base.n // 2, pair))
+        return _real(base, coefficients, pair)
 
     monkeypatch.setattr(detector_module, "_pair_blocks", blocks_spy)
-    monkeypatch.setattr(detector_module, "closed_form_phi", closed_form_spy)
+    monkeypatch.setattr(detector_module, "_closed_form", closed_form_spy)
     assert detector_module.detect(family, k, g).verdict == "detected"
     assert calls == [("_pair_blocks", window, folded)] + [
-        ("closed_form_phi", window, pair) for pair in folded
+        ("_closed_form", window, pair) for pair in folded
     ]
 
 
