@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from fractions import Fraction
 from functools import cache
 
-from .combinatorics import _adjoint_exp, _pair, _paired_points
-from .partitions import CycleType, Partition, _integer
+from .combinatorics import _adjoint_exp, _pairing, _paired_points
+from .partitions import CycleType, Partition, _integer, partitions_of
 from .tensorspace import Coeff, SparseTensor, _Combination, _accumulate, _exact, _form
 
 # Points 0..k-1 are the top row, k..2k-1 the bottom row.
@@ -336,28 +335,30 @@ def ram_character(lam, cls, g: int) -> int:
     sgn(cls) <s_lam exp(sum_m (p_m^2 - p_2m)/(2m)), p_cls>: the adjoint
     exponential of `combinatorics._adjoint_exp`, with sign -1, applied to
     sgn(cls) p_cls and paired with s_lam itself in degree |lam|.  That
-    sign-twisted series depends on the class alone, so `_ram_class` computes
-    it once per cycle type, together with a memo of the values paired so
-    far; a repeated (lam, cls) is a lookup, whatever g.
+    depends on the class alone, so `_ram_class` pairs it with every lam at
+    once, and each value is a lookup in the class's table, whatever g.
     """
     lam, cls = Partition(lam), CycleType(cls)
     if lam.length > g:
         raise ValueError(f"length of lambda exceeds g={g}")
-    series, values = _ram_class(cls)
-    value = values.get(lam)
-    if value is None:  # a memoized lam has passed the size check for cls
+    value = _ram_class(cls).get(lam)
+    if value is None:  # the table holds every lam of size |cls| - 2j
         _paired_points(lam, cls.size)
-        terms = series.get(lam.size)
-        value = values[lam] = _pair(lam, terms) if terms else 0
     return value
 
 
 @cache
-def _ram_class(cls: CycleType) -> tuple[dict[int, dict[tuple[int, ...], Fraction]], dict]:
-    """(series, values) of one cycle type.
+def _ram_class(cls: CycleType) -> dict[Partition, int]:
+    """The character of every cell module at one cycle type, as {lam: value}
+    over every lam of size |cls| - 2j, zeros included.
 
-    The series is exp(sum_n (n/2) d^2/dp_n^2 - d/dp_2n) sgn(cls) p_cls, grouped
-    by degree; values maps each lam paired so far to its character.
+    Each degree of exp(sum_n (n/2) d^2/dp_n^2 - d/dp_2n) sgn(cls) p_cls is
+    paired with every Schur function of that degree (`combinatorics._pairing`).
     """
     sign = (-1) ** (cls.size - cls.length)
-    return _adjoint_exp({tuple(cls): sign}, -1), {}
+    series = _adjoint_exp({tuple(cls): sign}, -1)
+    table = {}
+    for size in range(cls.size % 2, cls.size + 1, 2):
+        values = _pairing(series.get(size, {}), size)
+        table.update((lam, values.get(lam, 0)) for lam in partitions_of(size))
+    return table

@@ -13,9 +13,10 @@ is built, and enumerating standard tableaux is kept as the test oracle.
 Sp(2g) multiplicities of the named modules come from one power-sum core:
 each module's Frobenius character has a handful of power-sum terms, and
 Littlewood's stable-range rule pairs D^perp of it with Schur functions
-through Murnaghan-Nakayama: `sp_decomposition` builds each term's whole
-character column on bead masks and pairs it in integers, while the
-single-shape queries recurse through `_mn`.  D^perp is one adjoint
+through Murnaghan-Nakayama on bead masks (`_mn_column`), paired in
+integers by `_pairing`: `sp_decomposition` adds border strips to build each
+term's whole character column, and the single-shape queries remove them
+from the one shape's mask.  D^perp is one adjoint
 exponential, `_adjoint_exp` with sign -1; Ram's Brauer characters
 (`brauer.py`) apply the same routine with sign +1.  No program path computes
 a Littlewood-Richardson coefficient: `lr_coefficient` and
@@ -29,7 +30,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 from .partitions import CycleType, Partition, partitions_of, syt_count
 
@@ -71,7 +72,7 @@ def kw_multiplicity(shape, j: int) -> int:
     k = shape.size
     if k < 1:
         raise ValueError("shape must be nonempty")
-    return _pair(shape, _cyclic_character(k, j % k))
+    return _pairing(_cyclic_character(k, j % k), k, shape).get(shape, 0)
 
 
 def lr_coefficient(outer, inner, weight) -> int:
@@ -172,38 +173,13 @@ def _doubled_partitions_inside(lam: Partition):
 def sk_character(nu, cls) -> int:
     """Character of the symmetric group irreducible S^nu on a cycle type.
 
-    Evaluated by the Murnaghan-Nakayama recursion over border strips, via
-    first-column hook lengths.
+    Evaluated by the Murnaghan-Nakayama rule, removing one border strip per
+    cycle from nu's bead mask (`_mn_column`).
     """
     nu, cls = Partition(nu), CycleType(cls)
     if nu.size != cls.size:
         raise ValueError("cycle type must have the same size as the shape")
-    return _mn(nu, tuple(cls))
-
-
-@cache
-def _mn(nu: Partition, parts: tuple[int, ...]) -> int:
-    if not parts:
-        return 1
-    if max(parts) == 1:
-        return syt_count(nu)  # chi^nu at the identity is f^nu
-    t, rest = parts[0], parts[1:]
-    length = nu.length
-    beta = [nu[i] + length - 1 - i for i in range(length)]
-    beta_set = set(beta)
-    total = 0
-    for b in beta:
-        nb = b - t
-        if nb < 0 or nb in beta_set:
-            continue
-        height = sum(1 for c in beta if nb < c < b)
-        new_beta = sorted((beta_set - {b}) | {nb}, reverse=True)
-        # A beta-set always reads back as a partition: skip the validation.
-        mu = tuple.__new__(Partition, [
-            v - (length - 1 - i) for i, v in enumerate(new_beta) if v - (length - 1 - i) > 0
-        ])
-        total += (-1) ** height * _mn(mu, rest)
-    return total
+    return _pairing({tuple(cls): 1}, nu.size, nu).get(nu, 0)
 
 
 SOURCES = ("h", "cyclic")
@@ -304,14 +280,6 @@ def _sp_character(source: str, k: int) -> dict[int, dict[tuple[int, ...], Fracti
     return _adjoint_exp(_frobenius_character(source, k), -1)
 
 
-def _pair(mu: Partition, terms: dict[tuple[int, ...], Fraction]) -> int:
-    """<sum_sigma c_sigma p_sigma, s_mu> = sum_sigma c_sigma chi^mu(sigma)."""
-    total = sum(c * _mn(mu, sigma) for sigma, c in terms.items())
-    if total.denominator != 1:
-        raise RuntimeError(f"non-integral multiplicity {total} for {mu}")
-    return int(total)
-
-
 def _check_module(source: str, k: int, g: int) -> None:
     if source not in SOURCES:
         raise ValueError(f"unknown source {source!r}; expected one of {SOURCES}")
@@ -329,65 +297,84 @@ def mult_sp_in_module(mubar, source: str, k: int, g: int) -> int:
     """
     mubar = Partition(mubar)
     _check_module(source, k, g)
-    terms = _sp_character(source, k).get(mubar.size)
-    return _pair(mubar, terms) if terms else 0
+    terms = _sp_character(source, k).get(mubar.size, {})
+    return _pairing(terms, mubar.size, mubar).get(mubar, 0)
 
 
 def sp_decomposition(source: str, k: int, g: int) -> dict[Partition, int]:
-    """Full Sp(2g) decomposition of a named module, sorted by partition.
-
-    Each degree's terms c_sigma p_sigma are paired with every s_mu at once:
-    with L the lcm of the denominators, the integers c_sigma L times the
-    column chi^.(sigma) (`_mn_column`) are summed per bead mask and divided
-    by L, which must leave no remainder.
-    """
+    """Full Sp(2g) decomposition of a named module, sorted by partition."""
     _check_module(source, k, g)
     result: dict[Partition, int] = {}
     # Every degree is at most k+2 <= g, so no partition is too long for Sp(2g).
     for degree, terms in _sp_character(source, k).items():
-        scale = 1
-        for c in terms.values():
-            scale = scale * c.denominator // gcd(scale, c.denominator)
-        totals: dict[int, int] = {}
-        get = totals.get
-        for sigma, c in terms.items():
-            weight = c.numerator * (scale // c.denominator)
-            for mask, chi in _mn_column(sigma, degree).items():
-                totals[mask] = get(mask, 0) + weight * chi
-        for mask, total in totals.items():
-            mult, rest = divmod(total, scale)
-            if rest:
-                mu = _bead_partition(mask)
-                raise RuntimeError(f"non-integral multiplicity {Fraction(total, scale)} for {mu}")
-            if mult:
-                result[_bead_partition(mask)] = mult
+        result.update(_pairing(terms, degree))
     return dict(sorted(result.items(), reverse=True))
 
 
-def _mn_column(parts: tuple[int, ...], d: int) -> dict[int, int]:
-    """chi^mu(parts) for every mu of size d = sum(parts), keyed by bead mask.
+def _pairing(
+    terms: dict[tuple[int, ...], Fraction], d: int, mu: Partition | None = None
+) -> dict[Partition, int]:
+    """<sum_sigma c_sigma p_sigma, s_mu> = sum_sigma c_sigma chi^mu(sigma) for
+    every mu of size d or, given `mu`, for mu alone; nonzero values only.
 
-    A partition mu of at most d rows is the mask with d beads, the bits
-    mu_i + d - i for i = 1..d, so the empty partition is (1 << d) - 1.
-    Adding an r-border strip moves a bead b to an empty b + r, with sign
-    (-1) to the number of beads strictly between them; the
-    Murnaghan-Nakayama rule adds one strip per part, in any order, and the
-    nonzero sums are kept.
+    With L the lcm of the denominators, the integers c_sigma L times the
+    columns chi^.(sigma) (`_mn_column`) are summed per bead mask and divided
+    by L, which must leave no remainder.
     """
-    column = {(1 << d) - 1: 1}
+    scale = lcm(*(c.denominator for c in terms.values()))
+    totals: dict[int, int] = {}
+    get = totals.get
+    for sigma, c in terms.items():
+        weight = c.numerator * (scale // c.denominator)
+        for mask, chi in _mn_column(sigma, d, mu).items():
+            totals[mask] = get(mask, 0) + weight * chi
+    result = {}
+    for mask, total in totals.items():
+        mult, rest = divmod(total, scale)
+        if mult or rest:
+            shape = _bead_partition(mask) if mu is None else mu
+            if rest:
+                raise RuntimeError(f"non-integral multiplicity {Fraction(total, scale)} for {shape}")
+            result[shape] = mult
+    return result
+
+
+def _mn_column(parts: tuple[int, ...], d: int, mu: Partition | None = None) -> dict[int, int]:
+    """chi^.(parts) by the Murnaghan-Nakayama rule on bead masks, d = sum(parts).
+
+    A partition of at most d rows is the mask with d beads, the bits
+    mu_i + d - i for i = 1..d, so the empty partition is (1 << d) - 1.  An
+    r-border strip joins a bead and an empty position r apart, moving the
+    bead across, with sign (-1) to the number of beads strictly between
+    them.  With `mu` None, one strip per part is added to the empty mask,
+    which gives chi^mu(parts) for every mu of size d, keyed by mask.  Given
+    mu, the strips are removed from mu's mask instead, which leaves
+    {(1 << d) - 1: chi^mu(parts)}.  The parts go in any order; the nonzero
+    sums are kept.
+    """
+    if mu is None:
+        column, side = {(1 << d) - 1: 1}, 0
+    else:
+        start = sum(1 << (p + d - 1 - i) for i, p in enumerate(mu))
+        column, side = {start + (1 << (d - len(mu))) - 1: 1}, -1
     for r in parts:
-        step, inner = (1 << r) - 1, (1 << r) - 2
-        grown: dict[int, int] = {}
-        get = grown.get
+        swap, inner = (1 << r) + 1, (1 << r) - 2
+        moved: dict[int, int] = {}
+        get = moved.get
         for mask, c in column.items():
-            movable = mask & ~(mask >> r)
-            while movable:
-                low = movable & -movable
-                movable ^= low
-                new = mask + low * step
-                grown[new] = get(new, 0) + (-c if (mask & low * inner).bit_count() & 1 else c)
-        column = {mask: c for mask, c in grown.items() if c}
-    return column
+            if not c:
+                continue  # the strips cancelled
+            # Positions b whose bead state differs from b + r's, with a bead
+            # at b to add a strip (side 0) or a hole at b to remove one (side
+            # -1); toggling both bits moves the bead.
+            ends = (mask ^ (mask >> r)) & (mask ^ side)
+            while ends:
+                low = ends & -ends
+                ends ^= low
+                new = mask ^ low * swap
+                moved[new] = get(new, 0) + (-c if (mask & low * inner).bit_count() & 1 else c)
+        column = moved
+    return {mask: c for mask, c in column.items() if c}
 
 
 def _bead_partition(mask: int) -> Partition:

@@ -33,7 +33,6 @@ from .tensorspace import (
     _form,
     cont_k,
     cyclic_project,
-    gl_maximal_vector,
     rat_str,
 )
 
@@ -48,11 +47,6 @@ DISCLAIMER = (
 VERDICT_DETECTED = "detected"
 VERDICT_NOT_DETECTED = "not_detected"
 VERDICT_INCONSISTENT = "inconsistent"
-
-
-def seed_projection(family: str, k: int, g: int) -> CyclicVector:
-    """Rotation-quotient image of the family's seed word."""
-    return cyclic_project(gl_maximal_vector(_family(family).partition(k), 2 * g))
 
 
 @dataclass

@@ -13,15 +13,18 @@ from math import factorial, prod
 from typing import Iterator
 
 from jcokernel.brauer import BrauerDiagram, BrauerElement, act_twisted, ram_character
-from jcokernel.combinatorics import _pair, _paired_points, kw_multiplicity
-from jcokernel.partitions import Partition, partitions_of
+from jcokernel.combinatorics import _paired_points, kw_multiplicity
+from jcokernel.freelie import _family
+from jcokernel.partitions import Partition, partitions_of, syt_count
 from jcokernel.tensorspace import (
     Coeff,
+    CyclicVector,
     PermAlgebraElement,
     SparseTensor,
     _accumulate,
     _perm_sign,
     act_perm,
+    cyclic_project,
     gl_maximal_vector,
     omega,
 )
@@ -108,6 +111,43 @@ def mult_gl_in_h(lam, g: int) -> int:
     return result
 
 
+@cache
+def _mn(nu: Partition, parts: tuple[int, ...]) -> int:
+    """chi^nu(parts) by the Murnaghan-Nakayama recursion on first-column hook
+    lengths (beta-sets), memoised.
+    Checks `combinatorics._mn_column` in both directions."""
+    if not parts:
+        return 1
+    if max(parts) == 1:
+        return syt_count(nu)  # chi^nu at the identity is f^nu
+    t, rest = parts[0], parts[1:]
+    length = nu.length
+    beta = [nu[i] + length - 1 - i for i in range(length)]
+    beta_set = set(beta)
+    total = 0
+    for b in beta:
+        nb = b - t
+        if nb < 0 or nb in beta_set:
+            continue
+        height = sum(1 for c in beta if nb < c < b)
+        new_beta = sorted((beta_set - {b}) | {nb}, reverse=True)
+        # A beta-set always reads back as a partition: skip the validation.
+        mu = tuple.__new__(Partition, [
+            v - (length - 1 - i) for i, v in enumerate(new_beta) if v - (length - 1 - i) > 0
+        ])
+        total += (-1) ** height * _mn(mu, rest)
+    return total
+
+
+def _pair(mu: Partition, terms: dict[tuple[int, ...], Fraction]) -> int:
+    """<sum_sigma c_sigma p_sigma, s_mu> = sum_sigma c_sigma chi^mu(sigma).
+    Checks `combinatorics._pairing` one shape at a time, through `_mn`."""
+    total = sum(c * _mn(mu, sigma) for sigma, c in terms.items())
+    if total.denominator != 1:
+        raise RuntimeError(f"non-integral multiplicity {total} for {mu}")
+    return int(total)
+
+
 # ---------------------------------------------------------------- freelie
 
 
@@ -123,6 +163,12 @@ def left_normed_bracket(letters, n: int) -> SparseTensor:
         single = SparseTensor.basis_word(n, (letter,))
         result = result.tensor(single) - single.tensor(result)
     return result
+
+
+def seed_projection(family: str, k: int, g: int) -> CyclicVector:
+    """Rotation-quotient image of the family's seed word at genus g.
+    Checks the scalar `detect` reads off the window's GL maximal vector."""
+    return cyclic_project(gl_maximal_vector(_family(family).partition(k), 2 * g))
 
 
 # ------------------------------------------------------------ tensorspace

@@ -12,9 +12,8 @@ from jcokernel.brauer import ram_character
 from jcokernel.combinatorics import (
     SOURCES,
     _bead_partition,
-    _mn,
     _mn_column,
-    _pair,
+    _pairing,
     brauer_dim,
     gl_to_sp_branching,
     kw_multiplicity,
@@ -25,7 +24,7 @@ from jcokernel.combinatorics import (
     witt_rank,
 )
 from jcokernel.partitions import CycleType, Partition, partitions_of, standard_tableaux, syt_count
-from oracles import gl_dimension, mult_gl_in_h, sp_dimension
+from oracles import _mn, gl_dimension, mult_gl_in_h, sp_dimension
 from test_partitions import major_index
 
 
@@ -133,9 +132,11 @@ def test_witt_rejects_bad_input():
 
 def test_non_integral_pairing_raises_even_without_asserts():
     # The exactness check is an if, not an assert, so python -O keeps it:
-    # half the trivial character of S_2 would otherwise truncate to 0.
-    with pytest.raises(RuntimeError, match="non-integral multiplicity 1/2"):
-        _pair(Partition((2,)), {(2,): Fraction(1, 2)})
+    # half of p_1^2 = s_2 + s_11 would otherwise truncate to 0.  The whole
+    # column and the one shape share the pairing.
+    for mu in (None, Partition((2,))):
+        with pytest.raises(RuntimeError, match="non-integral multiplicity 1/2"):
+            _pairing({(1, 1): Fraction(1, 2)}, 2, mu)
 
 
 # ------------------------------------------------------- cyclic characters
@@ -406,8 +407,8 @@ def test_power_sum_core_matches_lr_oracle():
 
 
 def test_mult_sp_in_module_matches_decomposition_and_oracle():
-    # The decomposition pairs whole bead-mask columns; `mult_sp_in_module`
-    # pairs one shape at a time through the `_mn` recursion.
+    # The decomposition adds border strips to the empty bead mask;
+    # `mult_sp_in_module` removes them from the one shape's mask.
     for source in SOURCES:
         for k in range(1, 13):
             g = k + 2
@@ -423,14 +424,20 @@ def test_mult_sp_in_module_matches_decomposition_and_oracle():
 
 
 def test_mn_column_matches_the_recursion_in_either_part_order():
+    # Adding strips from the empty mask gives the whole column; removing them
+    # from mu's mask leaves chi^mu at the empty mask, or nothing for a zero.
     pairs = 0
     for d in range(11):
+        empty = (1 << d) - 1
         for rho in partitions_of(d):
             for parts in (tuple(rho), tuple(rho)[::-1]):
                 column = {_bead_partition(mask): chi for mask, chi in _mn_column(parts, d).items()}
                 assert 0 not in column.values()
                 for mu in partitions_of(d):
-                    assert column.get(mu, 0) == _mn(mu, tuple(rho)), (mu, parts)
+                    chi = _mn(mu, tuple(rho))
+                    assert column.get(mu, 0) == chi, (mu, parts)
+                    assert _mn_column(parts, d, mu) == ({empty: chi} if chi else {}), (mu, parts)
+                    assert sk_character(mu, rho) == chi, (mu, rho)
                 pairs += len(partitions_of(d))
     assert pairs == 2 * 3583
 
@@ -441,12 +448,30 @@ def test_sp_decomposition_refuses_a_fractional_multiplicity(monkeypatch):
     monkeypatch.setattr(combinatorics_module, "_sp_character", lambda source, k: half)
     with pytest.raises(RuntimeError, match=r"non-integral multiplicity 1/2 for Partition\(1, 1\)"):
         sp_decomposition("h", 1, 3)
+    # The single-shape query pairs through the same routine.
+    assert mult_sp_in_module((2,), "h", 1, 3) == 1
+    with pytest.raises(RuntimeError, match=r"non-integral multiplicity 1/2 for Partition\(1, 1\)"):
+        mult_sp_in_module((1, 1), "h", 1, 3)
 
 
 def test_sp_decomposition_leaves_no_cache_behind():
-    caches = (combinatorics_module._mn, partitions_module._partitions_of)
+    # Apart from the power-sum tables, no query fills a module cache.
+    power_sums = {"_sp_character", "_cyclic_character", "_matching_expansion"}
+    caches = [
+        value
+        for module in (combinatorics_module, partitions_module)
+        for name, value in vars(module).items()
+        if hasattr(value, "cache_info") and name not in power_sums
+    ]
+    assert combinatorics_module._lr in caches and partitions_module._partitions_of in caches
     before = [cache.cache_info().currsize for cache in caches]
     sp_decomposition("h", 12, 14)
+    for k in range(4, 13):
+        for source in SOURCES:
+            mult_sp_in_module((1,) * k, source, k, k + 2)
+            mult_sp_in_module((k - 2, 2), source, k, k + 2)
+        kw_multiplicity((k - 2, 1, 1), 1)
+        sk_character((k - 2, 2), (k - 1, 1))
     assert [cache.cache_info().currsize for cache in caches] == before
 
 

@@ -13,7 +13,6 @@ from jcokernel.detector import (
     VERDICT_NOT_DETECTED,
     DetectionReport,
     detect,
-    seed_projection,
     uniqueness_context,
 )
 from jcokernel.freelie import (
@@ -44,6 +43,7 @@ from jcokernel.tensorspace import (
     peak_terms,
     reset_peak_terms,
 )
+from oracles import seed_projection
 
 
 def test_symmetric_family_small():
@@ -360,8 +360,9 @@ def test_detect_builds_the_gl_maximal_vector_once(family, k, g, monkeypatch):
         calls.append(n)
         return _real(lam, n)
 
-    for module in (freelie_module, detector_module):
-        monkeypatch.setattr(module, "gl_maximal_vector", spy)
+    # `detector` names no `gl_maximal_vector`: every build goes through `freelie`.
+    assert not hasattr(detector_module, "gl_maximal_vector")
+    monkeypatch.setattr(freelie_module, "gl_maximal_vector", spy)
     detect(family, k, g, force=True)
     assert calls == [2 * min(g, _family(family).partition(k).length + 2)]
 

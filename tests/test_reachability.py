@@ -18,10 +18,8 @@ from test_bench_targets import tracer
 SRC = Path(__file__).resolve().parents[1] / "src" / "jcokernel"
 
 # Public API that no command runs: the paper's candidate vector assembled,
-# the Lie-element test (with `apply_theta`, which it reaches), and the seed
-# word's rotation-quotient image at genus g, which `detect` reads off the
-# window's GL maximal vector instead.
-DECLARED_API = {"phi_candidate", "is_lie_element", "seed_projection"}
+# and the Lie-element test (with `apply_theta`, which it reaches).
+DECLARED_API = {"phi_candidate", "is_lie_element"}
 # Read by name from `bench/worker.py`.
 WORKER_READS = {"peak_terms", "reset_peak_terms"}
 
