@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 from functools import cache
 
 from .combinatorics import _adjoint_exp, _pairing, _paired_points
@@ -335,30 +336,36 @@ def ram_character(lam, cls, g: int) -> int:
     sgn(cls) <s_lam exp(sum_m (p_m^2 - p_2m)/(2m)), p_cls>: the adjoint
     exponential of `combinatorics._adjoint_exp`, with sign -1, applied to
     sgn(cls) p_cls and paired with s_lam itself in degree |lam|.  That
-    depends on the class alone, so `_ram_class` pairs it with every lam at
-    once, and each value is a lookup in the class's table, whatever g.
+    sign-twisted series depends on the class alone, so `_ram_class` computes
+    it once per cycle type.  Its values table is filled a row cap at a time:
+    a lam not yet tabled pairs the series with every lam of at most min(g, k)
+    rows at once (`combinatorics._pairing`), zeros included, and every later
+    value is a lookup, whatever g.
     """
     lam, cls = Partition(lam), CycleType(cls)
     if lam.length > g:
         raise ValueError(f"length of lambda exceeds g={g}")
-    value = _ram_class(cls).get(lam)
-    if value is None:  # the table holds every lam of size |cls| - 2j
+    series, values = _ram_class(cls)
+    value = values.get(lam)
+    if value is None:  # a tabled lam has passed the size check for cls
         _paired_points(lam, cls.size)
+        # No lam of size <= k has more than k rows: every g >= k fills the
+        # whole table.
+        rows = min(g, cls.size)
+        for size in range(cls.size % 2, cls.size + 1, 2):
+            paired = _pairing(series.get(size, {}), min(size, rows))
+            values.update((mu, paired.get(mu, 0)) for mu in partitions_of(size, rows))
+        value = values[lam]
     return value
 
 
 @cache
-def _ram_class(cls: CycleType) -> dict[Partition, int]:
-    """The character of every cell module at one cycle type, as {lam: value}
-    over every lam of size |cls| - 2j, zeros included.
+def _ram_class(cls: CycleType) -> tuple[dict[int, dict[tuple[int, ...], Fraction]], dict]:
+    """(series, values) of one cycle type.
 
-    Each degree of exp(sum_n (n/2) d^2/dp_n^2 - d/dp_2n) sgn(cls) p_cls is
-    paired with every Schur function of that degree (`combinatorics._pairing`).
+    The series is exp(sum_n (n/2) d^2/dp_n^2 - d/dp_2n) sgn(cls) p_cls, grouped
+    by degree; values maps every lam of size |cls| - 2j and at most as many
+    rows as any g asked so far to its character.
     """
     sign = (-1) ** (cls.size - cls.length)
-    series = _adjoint_exp({tuple(cls): sign}, -1)
-    table = {}
-    for size in range(cls.size % 2, cls.size + 1, 2):
-        values = _pairing(series.get(size, {}), size)
-        table.update((lam, values.get(lam, 0)) for lam in partitions_of(size))
-    return table
+    return _adjoint_exp({tuple(cls): sign}, -1), {}

@@ -179,7 +179,7 @@ def sk_character(nu, cls) -> int:
     nu, cls = Partition(nu), CycleType(cls)
     if nu.size != cls.size:
         raise ValueError("cycle type must have the same size as the shape")
-    return _pairing({tuple(cls): 1}, nu.size, nu).get(nu, 0)
+    return _mn_column(tuple(cls), nu.size, nu).get((1 << nu.size) - 1, 0)
 
 
 SOURCES = ("h", "cyclic")
@@ -312,10 +312,11 @@ def sp_decomposition(source: str, k: int, g: int) -> dict[Partition, int]:
 
 
 def _pairing(
-    terms: dict[tuple[int, ...], Fraction], d: int, mu: Partition | None = None
+    terms: dict[tuple[int, ...], Fraction], beads: int, mu: Partition | None = None
 ) -> dict[Partition, int]:
     """<sum_sigma c_sigma p_sigma, s_mu> = sum_sigma c_sigma chi^mu(sigma) for
-    every mu of size d or, given `mu`, for mu alone; nonzero values only.
+    every mu of at most `beads` rows or, given `mu`, for mu alone; nonzero
+    values only.  Every sigma must have the same size.
 
     With L the lcm of the denominators, the integers c_sigma L times the
     columns chi^.(sigma) (`_mn_column`) are summed per bead mask and divided
@@ -326,7 +327,7 @@ def _pairing(
     get = totals.get
     for sigma, c in terms.items():
         weight = c.numerator * (scale // c.denominator)
-        for mask, chi in _mn_column(sigma, d, mu).items():
+        for mask, chi in _mn_column(sigma, beads, mu).items():
             totals[mask] = get(mask, 0) + weight * chi
     result = {}
     for mask, total in totals.items():
@@ -339,24 +340,25 @@ def _pairing(
     return result
 
 
-def _mn_column(parts: tuple[int, ...], d: int, mu: Partition | None = None) -> dict[int, int]:
-    """chi^.(parts) by the Murnaghan-Nakayama rule on bead masks, d = sum(parts).
+def _mn_column(parts: tuple[int, ...], beads: int, mu: Partition | None = None) -> dict[int, int]:
+    """chi^.(parts) by the Murnaghan-Nakayama rule on bead masks.
 
-    A partition of at most d rows is the mask with d beads, the bits
-    mu_i + d - i for i = 1..d, so the empty partition is (1 << d) - 1.  An
-    r-border strip joins a bead and an empty position r apart, moving the
-    bead across, with sign (-1) to the number of beads strictly between
-    them.  With `mu` None, one strip per part is added to the empty mask,
-    which gives chi^mu(parts) for every mu of size d, keyed by mask.  Given
-    mu, the strips are removed from mu's mask instead, which leaves
-    {(1 << d) - 1: chi^mu(parts)}.  The parts go in any order; the nonzero
-    sums are kept.
+    A partition of at most `beads` rows is the mask with that many beads, the
+    bits mu_i + beads - i for i = 1..beads, so the empty partition is
+    (1 << beads) - 1.  An r-border strip joins a bead and an empty position r
+    apart, moving the bead across, with sign (-1) to the number of beads
+    strictly between them.  With `mu` None, one strip per part is added to
+    the empty mask, which gives chi^mu(parts) for every mu of size sum(parts)
+    and at most `beads` rows, keyed by mask: a strip never removes a row, so
+    fewer beads cut the walk exactly.  Given mu, the strips are removed from
+    mu's mask instead, which leaves {(1 << beads) - 1: chi^mu(parts)}.  The
+    parts go in any order; the nonzero sums are kept.
     """
     if mu is None:
-        column, side = {(1 << d) - 1: 1}, 0
+        column, side = {(1 << beads) - 1: 1}, 0
     else:
-        start = sum(1 << (p + d - 1 - i) for i, p in enumerate(mu))
-        column, side = {start + (1 << (d - len(mu))) - 1: 1}, -1
+        start = sum(1 << (p + beads - 1 - i) for i, p in enumerate(mu))
+        column, side = {start + (1 << (beads - len(mu))) - 1: 1}, -1
     for r in parts:
         swap, inner = (1 << r) + 1, (1 << r) - 2
         moved: dict[int, int] = {}

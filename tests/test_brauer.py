@@ -486,7 +486,7 @@ def test_ram_series_is_computed_once_per_cycle_type():
     assert _ram_class.cache_info().misses == 30
     assert _ram_class.cache_info().hits == hits + 56 * 30
     # Each table holds the value of every row, zeros included: 56 shapes.
-    tables = [_ram_class(cls) for cls in partitions_of(9)]
+    tables = [_ram_class(cls)[1] for cls in partitions_of(9)]
     assert {len(table) for table in tables} == {56}
     assert any(0 in table.values() for table in tables)
 
@@ -500,7 +500,9 @@ def test_ram_memo_does_not_depend_on_table_order():
     _ram_class.cache_clear()
     fresh = table(14)
     _ram_class.cache_clear()
-    table(3)
+    small = table(3)
+    # A g=3 table pairs only its own rows, the shapes of length <= 3.
+    assert {len(_ram_class(cls)[1]) for cls in partitions_of(9)} == {small.count("\n") - 1}
     assert table(14) == fresh
 
 
@@ -513,6 +515,11 @@ def test_ram_character_checks_its_arguments():
     for lam in ((1,), (3,)):
         with pytest.raises(ValueError, match=re.escape("|lam| must equal k - 2j")):
             ram_character(lam, (1, 1), 4)
+    # A wrong size is refused before the class's table is filled.
+    _ram_class.cache_clear()
+    with pytest.raises(ValueError, match=re.escape("|lam| must equal k - 2j")):
+        ram_character((1,), (1,) * 24, 30)
+    assert _ram_class(CycleType((1,) * 24))[1] == {}
 
 
 def test_ram_character_of_invariant_pair():

@@ -433,6 +433,12 @@ def test_mn_column_matches_the_recursion_in_either_part_order():
             for parts in (tuple(rho), tuple(rho)[::-1]):
                 column = {_bead_partition(mask): chi for mask, chi in _mn_column(parts, d).items()}
                 assert 0 not in column.values()
+                # Fewer beads walk only the shapes of that many rows.
+                for beads in range(d):
+                    short = _mn_column(parts, beads)
+                    assert {_bead_partition(mask): chi for mask, chi in short.items()} == {
+                        mu: chi for mu, chi in column.items() if mu.length <= beads
+                    }, (beads, parts)
                 for mu in partitions_of(d):
                     chi = _mn(mu, tuple(rho))
                     assert column.get(mu, 0) == chi, (mu, parts)
