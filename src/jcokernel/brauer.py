@@ -145,29 +145,12 @@ class BrauerElement(_Combination):
     def identity(cls, k: int, delta: Coeff) -> "BrauerElement":
         return cls.from_diagram(BrauerDiagram.identity(k), delta)
 
-    def _like(self, other: "BrauerElement"):
-        if self._shape != other._shape:
-            raise ValueError("size or parameter mismatch")
-
-    def __add__(self, other: "BrauerElement") -> "BrauerElement":
-        if type(other) is not BrauerElement:
-            return NotImplemented
-        self._like(other)
-        return self._sum(other, "BrauerElement.add")
-
     def __mul__(self, other):
-        if not isinstance(other, BrauerElement):
-            return self._scale(other)
-        self._like(other)
+        def compose(d1: BrauerDiagram, d2: BrauerDiagram):
+            product, loops = compose_diagrams(d1, d2)
+            return product, self.delta**loops
 
-        def products():
-            for d1, c1 in self._terms.items():
-                for d2, c2 in other._terms.items():
-                    product, loops = compose_diagrams(d1, d2)
-                    yield product, c1 * c2 * self.delta**loops
-
-        out = _accumulate({}, products(), "BrauerElement.mul")
-        return BrauerElement._raw(self._shape, out)
+        return self._product(other, compose, "BrauerElement.mul")
 
     def __repr__(self):
         return f"BrauerElement(k={self.k}, delta={self.delta}, {len(self._terms)} diagrams)"

@@ -87,20 +87,13 @@ def lr_coefficient(outer, inner, weight) -> int:
 
 @cache
 def _lr(outer: Partition, inner: Partition, weight: Partition) -> int:
+    """The count of `lr_coefficient`, by backtracking over the cells of
+    outer \\ inner in reverse reading order."""
     # Most calls from branching have weight outside outer: no filling, no search.
-    if not outer.contains(weight):
+    if not outer.contains(weight) or not outer.contains(inner):
         return 0
-    return sum(1 for _ in _lr_fillings(outer, inner, weight))
-
-
-def _lr_fillings(outer: Partition, inner: Partition, weight: Partition):
-    """Backtracking over LR fillings of outer \\ inner with content weight.
-
-    Yields one shared cell -> value dict per complete filling; it changes as
-    the search goes on, so a caller that keeps a filling copies it.
-    """
-    if not outer.contains(inner) or outer.size != inner.size + weight.size:
-        return
+    if outer.size != inner.size + weight.size:
+        return 0
     nvals = weight.length
     inner_padded = tuple(inner) + (0,) * (outer.length - inner.length)
     # Cells in reverse reading order: row by row, right to left.
@@ -112,13 +105,13 @@ def _lr_fillings(outer: Partition, inner: Partition, weight: Partition):
     counts = [0] * (nvals + 1)
     grid: dict[tuple[int, int], int] = {}
 
-    def fill(idx: int):
+    def count(idx: int) -> int:
         if idx == len(cells):
-            yield grid
-            return
+            return 1
         r, c = cells[idx]
         above = grid.get((r - 1, c))
         right = grid.get((r, c + 1))
+        total = 0
         for v in range(1, nvals + 1):
             if counts[v] >= weight[v - 1]:
                 continue
@@ -130,11 +123,12 @@ def _lr_fillings(outer: Partition, inner: Partition, weight: Partition):
                 continue
             counts[v] += 1
             grid[(r, c)] = v
-            yield from fill(idx + 1)
+            total += count(idx + 1)
             counts[v] -= 1
             del grid[(r, c)]
+        return total
 
-    yield from fill(0)
+    return count(0)
 
 
 def _doubled_partitions(total: int):
@@ -155,19 +149,15 @@ def gl_to_sp_branching(lam, g: int) -> dict[Partition, int]:
     if lam.length > g:
         raise ValueError(f"length of lambda exceeds g={g}")
     result: dict[Partition, int] = {}
-    for eta in _doubled_partitions_inside(lam):
-        for mubar in partitions_of(lam.size - eta.size, max_length=g):
-            c = lr_coefficient(lam, eta, mubar)
-            if c:
-                result[mubar] = result.get(mubar, 0) + c
-    return dict(sorted(result.items(), reverse=True))
-
-
-def _doubled_partitions_inside(lam: Partition):
     for total in range(0, lam.size + 1, 2):
         for eta in _doubled_partitions(total):
-            if lam.contains(eta):
-                yield eta
+            if not lam.contains(eta):
+                continue
+            for mubar in partitions_of(lam.size - total, max_length=g):
+                c = lr_coefficient(lam, eta, mubar)
+                if c:
+                    result[mubar] = result.get(mubar, 0) + c
+    return dict(sorted(result.items(), reverse=True))
 
 
 def sk_character(nu, cls) -> int:

@@ -357,34 +357,30 @@ def family_seed(family: str, k: int, g: int) -> SparseTensor:
     return form.tensor(top)
 
 
-def phi_candidate(family: str, k: int, g: int, check: bool = True) -> SparseTensor:
+def phi_candidate(family: str, k: int, g: int) -> SparseTensor:
     """Seed vector pushed into the bracket-map kernel by the averaged projector,
     assembled from its letter blocks (`_pair_blocks` of `family_seed`)."""
-    if check:
-        _check_preconditions(family, k, g)
+    _check_preconditions(family, k, g)
     return _pair_blocks(family_seed(family, k, g), k).assemble()
 
 
-def closed_form_phi(
-    family: str, k: int, g: int, check: bool = True, pair: int | None = None
-) -> SparseTensor:
+def closed_form_phi(family: str, k: int, g: int) -> SparseTensor:
     """Explicit double-sum form of the candidate vector.
 
     2 sum_{i=1}^{k+1} sum_{r=1}^{k-i+2} sign(r) binom(r) (seed word) . D_{i,i+r}
     with sign (-1)^(r-1), binom C(k, r-1) for family "[k]" and sign
     (-1)^[r = 2,3 mod 4], binom C((k-1)/2, floor((r-1)/2)) for family "[1^k]".
-    With `pair`, each D inserts that pair's letters only, which gives the
-    candidate's letter block for the pair.
     """
-    if check:
-        _check_preconditions(family, k, g)
-    entry = _checked_family(family, k, g)
-    return _closed_form(gl_maximal_vector(entry.partition(k), 2 * g), entry.coefficients(k), pair)
+    _check_preconditions(family, k, g)
+    entry = _family(family)
+    return _closed_form(gl_maximal_vector(entry.partition(k), 2 * g), entry.coefficients(k), None)
 
 
 def _closed_form(base: SparseTensor, coefficients, pair: int | None) -> SparseTensor:
     """`closed_form_phi` on the GL maximal vector `base` it would build, with
-    the family's coefficients sign(r) binom(r) for r = 1..k+1."""
+    the family's coefficients sign(r) binom(r) for r = 1..k+1.  With `pair`,
+    each D inserts that pair's letters only, which gives the candidate's
+    letter block for the pair."""
     k = base.degree
     total: dict[bytes, int] = {}
     for i in range(1, k + 2):

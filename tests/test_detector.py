@@ -17,6 +17,7 @@ from jcokernel.detector import (
 )
 from jcokernel.freelie import (
     LetterBlocks,
+    _closed_form,
     _family,
     _letter_blocks,
     _pair_blocks,
@@ -169,7 +170,7 @@ def detect_full_oracle(family, k, g, force=False):
     phi = full_candidate(family, k, g)
     closed_form_agrees = None
     if not out_of_range:
-        closed_form_agrees = phi == closed_form_phi(family, k, g, check=False)
+        closed_form_agrees = phi == closed_form_phi(family, k, g)
 
     in_kernel = is_in_h(phi, k)
     if phi.is_zero():
@@ -224,10 +225,12 @@ def test_window_detect_matches_full_vector_oracle(family, k, g):
 @pytest.mark.parametrize("family, k, g", WINDOW_GRID)
 def test_assembled_window_vector_matches_full_construction(family, k, g):
     w = min(g, _family(family).partition(k).length + 2)
-    phi = phi_candidate(family, k, w, check=False)
+    phi = _pair_blocks(family_seed(family, k, w), k).assemble()
     assert phi == full_candidate(family, k, w)
     if family_preconditions(family, k, g) is None:
-        assert phi == closed_form_phi(family, k, w, check=False)
+        entry = _family(family)
+        top = gl_maximal_vector(entry.partition(k), 2 * w)
+        assert phi == _closed_form(top, entry.coefficients(k), None)
 
 
 @pytest.mark.parametrize("family, k, g", WINDOW_GRID)
@@ -541,9 +544,14 @@ def test_unknown_family_has_one_message():
 
 @pytest.mark.parametrize("k, g", [(0, 3), (-1, 3), (3, 0)])
 def test_both_builders_check_k_and_g(k, g):
+    message = family_preconditions("[k]", k, g)
     for build in (phi_candidate, closed_form_phi):
-        with pytest.raises(ValueError, match="k and g must be positive"):
-            build("[k]", k, g, check=False)
+        with pytest.raises(ValueError) as error:
+            build("[k]", k, g)
+        assert str(error.value) == message
+    # `detect --force` skips the preconditions and builds the factors.
+    with pytest.raises(ValueError, match="k and g must be positive"):
+        family_factors("[k]", k, g)
 
 
 # The scalar laws, pinned past the reach of the full-vector path.

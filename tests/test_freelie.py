@@ -11,6 +11,7 @@ from jcokernel.brauer import _random_tensor as random_tensor
 from jcokernel.freelie import (
     FAMILY_ALTERNATING,
     FAMILY_SYMMETRIC,
+    _closed_form,
     _family,
     _fold,
     _in_h_block,
@@ -39,6 +40,7 @@ from jcokernel.tensorspace import (
     cont_k,
     cyclic_project,
     expansion,
+    gl_maximal_vector,
     omega,
     wedge,
 )
@@ -421,8 +423,10 @@ IN_RANGE_GRID = [case for case in WINDOW_GRID if family_preconditions(*case) is 
 def test_every_block_is_the_closed_form_on_its_pair(family, k, g):
     # Every copy's table and sign, checked against the expansion route.
     blocks = _pair_blocks(family_seed(family, k, g), k)
+    entry = _family(family)
+    top = gl_maximal_vector(entry.partition(k), 2 * g)
     for j in range(1, g + 1):
-        assert blocks.block(j) == closed_form_phi(family, k, g, pair=j)
+        assert blocks.block(j) == _closed_form(top, entry.coefficients(k), j)
 
 
 @pytest.mark.parametrize("family, k, g", WINDOW_GRID)

@@ -345,6 +345,14 @@ def test_cyclic_vector_ratio():
     assert (3 * v).ratio_to(v) == Fraction(3)
     other = cyclic_project(SparseTensor.basis_word(4, (2, 2, 1)))
     assert v.ratio_to(other) is None
+    zero = CyclicVector(3, 4)
+    assert zero.ratio_to(v) == Fraction(0)
+    assert v.ratio_to(zero) is None and zero.ratio_to(zero) is None
+    assert v.ratio_to(cyclic_project(SparseTensor.basis_word(6, (1, 2, 1)))) is None
+    both = CyclicVector(3, 4, {b"\x01\x01\x02": 1, b"\x01\x02\x02": 1})
+    assert both.ratio_to(v) is None and v.ratio_to(both) is None
+    assert both.ratio_to(CyclicVector(3, 4, {b"\x01\x01\x02": 1, b"\x01\x02\x02": 2})) is None
+    assert (2 * both).ratio_to(both) == Fraction(2)
 
 
 # ------------------------------------------------------- Young symmetrizer
@@ -447,6 +455,39 @@ def test_adding_a_foreign_operand_raises_type_error(make):
         ):
             with pytest.raises(TypeError):
                 combine()
+
+
+OTHER_SHAPE = {
+    "SparseTensor": SparseTensor(3, 4),
+    "PermAlgebraElement": PermAlgebraElement(3),
+    "CyclicVector": CyclicVector(2, 6),
+    "BrauerElement": BrauerElement(2, -6),
+}
+
+
+@pytest.mark.parametrize("name", EXACT_ELEMENTS)
+def test_every_combination_adds_subtracts_and_negates(name):
+    x = EXACT_ELEMENTS[name](Fraction(3, 2))
+    assert (x - x).is_zero() and type(x - x) is type(x)
+    assert -x == (-1) * x and x + x == 2 * x
+    with pytest.raises(ValueError):
+        x + OTHER_SHAPE[name]
+    for other, make in EXACT_ELEMENTS.items():
+        if other != name:
+            with pytest.raises(TypeError):
+                x + make(1)
+    if name == "CyclicVector":
+        u = CyclicVector(3, 4, {b"\x02\x01\x01": 1, b"\x03\x01\x02": 2})
+        w = CyclicVector(3, 4, {b"\x01\x01\x02": 4, b"\x01\x02\x03": -2})
+        assert u + w == CyclicVector(3, 4, {b"\x01\x02\x01": 5})
+        rng = random.Random(31)
+        s, t = random_tensor(rng, 4, 4), random_tensor(rng, 4, 4)
+        assert cyclic_project(s) + cyclic_project(t) == cyclic_project(s + t)
+
+
+def test_only_word_combinations_serialize():
+    for name, make in EXACT_ELEMENTS.items():
+        assert hasattr(make(1), "to_json_dict") == (name in ("SparseTensor", "CyclicVector"))
 
 
 def test_tensor_times_tensor_is_rejected():
